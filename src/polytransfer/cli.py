@@ -166,7 +166,7 @@ def write_csv(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _out_dir(cfg: dict) -> Path:

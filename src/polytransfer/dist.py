@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .mc import McEstimate, McSpec
 from .rng import make_rng
@@ -336,8 +336,8 @@ class TruncatedGaussian(Density):
         mu = float(self.base.mean[0])
         sd = math.sqrt(float(self.base.cov[0, 0]))
         ints = self.trunc_set.intervals
-        cdf_lo = np.array([norm.cdf(a, mu, sd) for a, _ in ints])
-        cdf_hi = np.array([norm.cdf(b, mu, sd) for _, b in ints])
+        cdf_lo = np.array([ndtr((a - mu) / sd) for a, _ in ints])
+        cdf_hi = np.array([ndtr((b - mu) / sd) for _, b in ints])
         weights = cdf_hi - cdf_lo
         total = weights.sum()
         rng = make_rng(seed, stream)
@@ -346,7 +346,7 @@ class TruncatedGaussian(Density):
         idx = np.clip(idx, 0, len(ints) - 1)
         offset = u - np.concatenate(([0.0], np.cumsum(weights)))[idx]
         q = cdf_lo[idx] + offset
-        return norm.ppf(np.clip(q, 1e-300, 1 - 1e-16), mu, sd).reshape(-1, 1)
+        return (ndtri(np.clip(q, 1e-300, 1 - 1e-16)) * sd + mu).reshape(-1, 1)
 
     def bounding_box(self, k_sigma=8.0):
         lo, hi = self.base.bounding_box(k_sigma)
@@ -727,18 +727,18 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
         sd = math.sqrt(float(cov[0, 0]))
         total = 0.0
         for a, b in trunc_set.intervals:
-            total += norm.cdf(b, mean[0], sd) - norm.cdf(a, mean[0], sd)
+            total += ndtr((b - mean[0]) / sd) - ndtr((a - mean[0]) / sd)
         return McEstimate(float(min(max(total, 0.0), 1.0)), 0.0)
     if isinstance(trunc_set, Halfspace):
         w = np.asarray(trunc_set.normal, dtype=float)
         mu = float(w @ mean)
         sd = math.sqrt(float(w @ cov @ w))
-        return McEstimate(float(norm.cdf(trunc_set.offset, mu, sd)), 0.0)
+        return McEstimate(float(ndtr((trunc_set.offset - mu) / sd)), 0.0)
     if isinstance(trunc_set, BoxSet) and np.allclose(cov, np.diag(np.diag(cov))):
         sd = np.sqrt(np.diag(cov))
         lo = np.asarray(trunc_set.lo, dtype=float)
         hi = np.asarray(trunc_set.hi, dtype=float)
-        per = norm.cdf(hi, mean, sd) - norm.cdf(lo, mean, sd)
+        per = ndtr((hi - mean) / sd) - ndtr((lo - mean) / sd)
         return McEstimate(float(np.prod(per)), 0.0)
 
     mc = mc or McSpec(200_000, seed=0)

@@ -109,38 +109,39 @@ def max_init_scale(depth: int, eps: float, target: LinearTarget, k: int,
     return base ** (1.0 / (2 - depth))
 
 
+def _losses(delta: np.ndarray, b_err: float, k: int):
+    """(L_S, L) from the coefficient gaps delta = pi - c and b_err = b - b*."""
+    sq = float((delta * delta).sum())
+    l_s = (b_err + delta[k]) ** 2 + (sq - float(delta[k] ** 2))
+    return float(l_s), float(b_err ** 2 + sq)
+
+
+def _max_influence(delta: np.ndarray) -> float:
+    delta2 = delta * delta
+    denom = float(delta2.sum())
+    if denom <= TAU_DENOM_FLOOR:
+        return float("nan")
+    return float(delta2.max() / denom)
+
+
+def _layer_cofactors(w: np.ndarray) -> np.ndarray:
+    """Row l holds prod_{j != l} w_j, the factor d pi / d w_l."""
+    if len(w) == 2:
+        return w[::-1]
+    ones = np.ones((1, w.shape[1]))
+    prefix = np.cumprod(np.concatenate([ones, w[:-1]]), axis=0)
+    suffix = np.cumprod(np.concatenate([ones, w[:0:-1]]), axis=0)[::-1]
+    return prefix * suffix
+
+
 def closed_form_losses(net: DiagonalLinearNet, target: LinearTarget, k: int):
     """(L_S, L): exact seen-conditional and full-population squared errors."""
-    delta = net.pi - target.coeffs
-    b_err = net.bias - target.bias
-    rest = float(np.sum(delta ** 2)) - float(delta[k] ** 2)
-    l_s = (b_err + delta[k]) ** 2 + rest
-    l_full = b_err ** 2 + float(np.sum(delta ** 2))
-    return float(l_s), float(l_full)
+    return _losses(net.pi - target.coeffs, net.bias - target.bias, k)
 
 
 def error_max_influence(net: DiagonalLinearNet, target: LinearTarget) -> float:
     """tau = max_i (pi_i - c_i)^2 / sum_i (pi_i - c_i)^2; NaN once converged."""
-    delta2 = (net.pi - target.coeffs) ** 2
-    denom = float(np.sum(delta2))
-    if denom <= TAU_DENOM_FLOOR:
-        return float("nan")
-    return float(np.max(delta2) / denom)
-
-
-def _seen_loss_gradient(net: DiagonalLinearNet, target: LinearTarget, k: int):
-    """Exact gradient of L_S in (bias, weights)."""
-    pi = net.pi
-    delta = pi - target.coeffs
-    e0 = net.bias - target.bias + delta[k]
-    coeff = 2.0 * delta
-    coeff[k] = 2.0 * e0
-    grad_b = 2.0 * e0
-    grad_w = np.empty_like(net.weights)
-    for layer in range(net.depth):
-        others = np.prod(np.delete(net.weights, layer, axis=0), axis=0)
-        grad_w[layer] = coeff * others
-    return grad_b, grad_w
+    return _max_influence(net.pi - target.coeffs)
 
 
 @dataclass
@@ -171,37 +172,48 @@ def gradient_flow(net: DiagonalLinearNet, target: LinearTarget, k: int,
     """Explicit Euler on the negative seen-loss gradient.
 
     Halves the step whenever a step would increase L_S (and keeps the
-    halved step).  Records every ``record_every`` accepted steps.
+    halved step).  Records every ``record_every`` accepted steps.  The loop
+    carries the weights, the bias and pi = prod_l w_l as plain arrays;
+    the gradient of L_S is 2 (b - b* + delta_k) in the bias and
+    coeff * prod_{j != l} w_j in layer l, where coeff = 2 delta with entry
+    k replaced by 2 (b - b* + delta_k).
     """
     if step > 1e-2:
         raise ValueError("step must be <= 1e-2")
-    net = net.copy()
+    c, b_star = target.coeffs, target.bias
+    w, b = net.weights.copy(), net.bias
+    pi = np.multiply.reduce(w, axis=0)
+    delta = pi - c
     trace = GOTUTrace()
     t = 0.0
-    l_s, l_full = closed_form_losses(net, target, k)
-    trace.append(t, l_s, l_full, error_max_influence(net, target), float(net.pi[k]))
+    l_s, l_full = _losses(delta, b - b_star, k)
+    trace.append(t, l_s, l_full, _max_influence(delta), float(pi[k]))
     count = 0
     while t < horizon:
-        grad_b, grad_w = _seen_loss_gradient(net, target, k)
+        e0 = b - b_star + delta[k]
+        coeff = 2.0 * delta
+        coeff[k] = 2.0 * e0
+        grad_b = 2.0 * e0
+        grad_w = coeff * _layer_cofactors(w)
         while True:
-            new_b = net.bias - step * grad_b
-            new_w = net.weights - step * grad_w
-            cand = DiagonalLinearNet(net.n, net.depth, new_b, new_w)
-            new_ls, new_l = closed_form_losses(cand, target, k)
+            new_b = b - step * grad_b
+            new_w = w - step * grad_w
+            new_pi = np.multiply.reduce(new_w, axis=0)
+            new_delta = new_pi - c
+            new_ls, new_l = _losses(new_delta, new_b - b_star, k)
             if new_ls <= l_s + 1e-9 or step < 1e-12:
                 break
             step *= 0.5
-        if not (np.all(np.isfinite(cand.weights)) and math.isfinite(cand.bias)):
+        if not (np.isfinite(new_w).all() and math.isfinite(new_b)):
             raise FloatingPointError("flow produced non-finite parameters")
-        net = cand
+        w, b, pi, delta = new_w, new_b, new_pi, new_delta
         t += step
         l_s, l_full = new_ls, new_l
         count += 1
         if count % record_every == 0:
-            trace.append(t, l_s, l_full, error_max_influence(net, target),
-                         float(net.pi[k]))
-    trace.append(t, l_s, l_full, error_max_influence(net, target), float(net.pi[k]))
-    return net, trace
+            trace.append(t, l_s, l_full, _max_influence(delta), float(pi[k]))
+    trace.append(t, l_s, l_full, _max_influence(delta), float(pi[k]))
+    return DiagonalLinearNet(net.n, net.depth, b, w), trace
 
 
 def critical_time(trace: GOTUTrace, c0: float = DEFAULT_C0) -> float | None:

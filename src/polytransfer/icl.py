@@ -176,44 +176,61 @@ def _sample_batch(pd: PromptDistribution, batch: int, seed: int, stream: int):
 def _batch_predictions(X, xq, W, params: LSAParams):
     """Vectorized closed-form predictions for a batch of prompts.
 
-    Returns (yhat, targets, G, vq) where G is the per-prompt Gram matrix
-    E E^T and vq = W_KQ x_tilde; both are reused by the gradient.
+    With data columns c_m = (x_m; y_m) and x_tilde = (x_query; 0), the Gram
+    matrix E E^T is sum_m c_m c_m^T + x_tilde x_tilde^T, so for r the last
+    row of W_PV and v = W_KQ x_tilde
+
+        r^T (E E^T) v = sum_m (r . c_m)(c_m . v) + (r . x_tilde)(x_tilde . v).
+
+    Neither E E^T nor the stacked columns are formed.  Returns
+    (yhat, targets, y, rc, cv, rx, xv): the labels y_m, the projections
+    r . c_m and c_m . v, and r . x_tilde, x_tilde . v, which the gradient
+    reuses.
     """
     batch, N, n = X.shape
-    y = np.einsum("bni,bi->bn", X, W)
-    cols = np.concatenate([X, y[:, :, None]], axis=2)      # (b, N, n+1) data columns
-    G = np.einsum("bni,bnj->bij", cols, cols)
-    xt = np.concatenate([xq, np.zeros((batch, 1))], axis=1)
-    G += np.einsum("bi,bj->bij", xt, xt)
-    vq = xt @ params.w_kq.T
     r = params.w_pv[-1]
-    yhat = np.einsum("i,bij,bj->b", r, G, vq) / params.rho
+    y = np.einsum("bni,bi->bn", X, W)
+    vq = xq @ params.w_kq[:, :n].T                        # W_KQ x_tilde
+    rc = (X.reshape(-1, n) @ r[:n]).reshape(batch, N) + y * r[n]
+    cv = np.einsum("bni,bi->bn", X, vq[:, :n]) + y * vq[:, n:]
+    rx = xq @ r[:n]
+    xv = np.einsum("bi,bi->b", xq, vq[:, :n])
+    yhat = (np.einsum("bm,bm->b", rc, cv) + rx * xv) / params.rho
     targets = np.einsum("bi,bi->b", W, xq)
-    return yhat, targets, G, xt
+    return yhat, targets, y, rc, cv, rx, xv
 
 
 def population_loss(pd: PromptDistribution, params: LSAParams,
                     mc: McSpec) -> McEstimate:
     """Monte Carlo estimate of E[(yhat_query - w . x_query)^2]."""
     X, xq, W = _sample_batch(pd, mc.n_samples, mc.seed, 0)
-    yhat, targets, _, _ = _batch_predictions(X, xq, W, params)
+    yhat, targets = _batch_predictions(X, xq, W, params)[:2]
     err = (yhat - targets) ** 2
     return McEstimate(float(np.mean(err)),
                       float(np.std(err, ddof=1) / math.sqrt(err.size)))
 
 
+def _gram_times(X, y, xq, proj, proj_x):
+    """(E E^T) u per prompt, from proj = c_m . u and proj_x = x_tilde . u."""
+    top = (proj[:, None, :] @ X)[:, 0, :] + xq * proj_x[:, None]
+    return np.concatenate([top, np.einsum("bm,bm->b", y, proj)[:, None]], axis=1)
+
+
 def loss_gradient(pd: PromptDistribution, params: LSAParams, batch: int,
                   seed: int, stream: int):
-    """Exact gradient of the batch loss through the closed-form prediction."""
+    """Exact gradient of the batch loss through the closed-form prediction.
+
+    d yhat / d r = (E E^T) v / rho and d yhat / d W_KQ = (E E^T) r x_tilde^T
+    / rho; both Gram products come from the projections of the prediction.
+    """
     X, xq, W = _sample_batch(pd, batch, seed, stream)
-    yhat, targets, G, xt = _batch_predictions(X, xq, W, params)
+    yhat, targets, y, rc, cv, rx, xv = _batch_predictions(X, xq, W, params)
     resid = 2.0 * (yhat - targets) / (batch * params.rho)
-    vq = xt @ params.w_kq.T
-    gv = np.einsum("bij,bj->bi", G, vq)           # G W_KQ x_tilde
+    n = X.shape[2]
     grad_pv = np.zeros_like(params.w_pv)
-    grad_pv[-1] = np.einsum("b,bi->i", resid, gv)
-    ga = np.einsum("bij,j->bi", G, params.w_pv[-1])   # G a, a = last row of W_PV
-    grad_kq = np.einsum("b,bi,bj->ij", resid, ga, xt)
+    grad_pv[-1] = resid @ _gram_times(X, y, xq, cv, xv)
+    grad_kq = np.zeros_like(params.w_kq)
+    grad_kq[:, :n] = (_gram_times(X, y, xq, rc, rx) * resid[:, None]).T @ xq
     loss = float(np.mean((yhat - targets) ** 2))
     return loss, grad_pv, grad_kq
 

@@ -29,13 +29,13 @@ class DivergenceError(RuntimeError):
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == RELU:
         return np.maximum(z, 0.0)
-    return 3.0 * z ** 2 - 2.0 * z ** 3
+    return z * z * (3.0 - 2.0 * z)
 
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == RELU:
         return (z > 0).astype(float)
-    return 6.0 * z - 6.0 * z ** 2
+    return 6.0 * z * (1.0 - z)
 
 
 @dataclass

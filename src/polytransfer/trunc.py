@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from . import dist
 from .mc import McSpec
@@ -36,6 +35,7 @@ MC_MASS_FLOOR = 1e-3
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _PANEL_WIDTH = 2.0   # in noise standard deviations
 _TAIL_CUT = 39.0     # N(0,1) density underflows past ~39 sd
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class MassTooSmallError(ValueError):
@@ -90,6 +90,12 @@ def _panel_quad(lo: float, hi: float, fn) -> float:
     return total
 
 
+def _normal_pdf(y: np.ndarray, mu: float) -> np.ndarray:
+    """N(mu, 1) density at y."""
+    z = y - mu
+    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
+
+
 def truncated_normal_moments(mu: float, intervals) -> tuple[float, float, float]:
     """(mass, first moment, second moment) of N(mu, 1) restricted to intervals."""
     m0 = m1 = m2 = 0.0
@@ -98,9 +104,9 @@ def truncated_normal_moments(mu: float, intervals) -> tuple[float, float, float]
         hi = min(b, mu + _TAIL_CUT)
         if hi <= lo:
             continue
-        m0 += _panel_quad(lo, hi, lambda y: norm.pdf(y, mu, 1.0))
-        m1 += _panel_quad(lo, hi, lambda y: y * norm.pdf(y, mu, 1.0))
-        m2 += _panel_quad(lo, hi, lambda y: y * y * norm.pdf(y, mu, 1.0))
+        m0 += _panel_quad(lo, hi, lambda y: _normal_pdf(y, mu))
+        m1 += _panel_quad(lo, hi, lambda y: y * _normal_pdf(y, mu))
+        m2 += _panel_quad(lo, hi, lambda y: y * y * _normal_pdf(y, mu))
     return m0, m1, m2
 
 

@@ -136,6 +136,16 @@ class TestExperiments:
         run_config(tmp_path, text)
         assert (out / "ensemble.csv").read_bytes() == first
 
+    def test_ensemble_cells_are_plain_numbers(self, tmp_path):
+        # numpy float scalars once leaked their repr, np.float64(...), into the CSV
+        out = tmp_path / "run"
+        run_config(tmp_path, f"experiment = transfer-ensemble\nout = {out}\nensemble.count = 20\n")
+        with open(out / "ensemble.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 4
+        for row in rows[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row)
+
     def test_truncated_experiment(self, tmp_path):
         out = tmp_path / "run"
         run_config(tmp_path, f"""

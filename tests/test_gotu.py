@@ -211,3 +211,86 @@ class TestCriticalTime:
         net = gotu.init_weights(n, 2, 0.25, 8)
         _, trace = gotu.gradient_flow(net, target, k, step=1e-3, horizon=10.0)
         assert trace.tau[-1] > 0.9
+
+
+def _reference_flow(net, target, k, step, horizon, record_every=10):
+    """The Euler loop as first written: a DiagonalLinearNet per candidate
+    step and the gradient from np.delete over layers.  Kept as the
+    bit-for-bit reference for gradient_flow."""
+
+    def losses(m):
+        delta = m.pi - target.coeffs
+        b_err = m.bias - target.bias
+        rest = float(np.sum(delta ** 2)) - float(delta[k] ** 2)
+        return float((b_err + delta[k]) ** 2 + rest), float(b_err ** 2 + float(np.sum(delta ** 2)))
+
+    def influence(m):
+        delta2 = (m.pi - target.coeffs) ** 2
+        denom = float(np.sum(delta2))
+        return float("nan") if denom <= gotu.TAU_DENOM_FLOOR else float(np.max(delta2) / denom)
+
+    def gradient(m):
+        delta = m.pi - target.coeffs
+        e0 = m.bias - target.bias + delta[k]
+        coeff = 2.0 * delta
+        coeff[k] = 2.0 * e0
+        grad_w = np.empty_like(m.weights)
+        for layer in range(m.depth):
+            grad_w[layer] = coeff * np.prod(np.delete(m.weights, layer, axis=0), axis=0)
+        return 2.0 * e0, grad_w
+
+    net = net.copy()
+    rows = []
+    t, count = 0.0, 0
+    l_s, l_full = losses(net)
+    rows.append((t, l_s, l_full, influence(net), float(net.pi[k])))
+    while t < horizon:
+        grad_b, grad_w = gradient(net)
+        while True:
+            cand = gotu.DiagonalLinearNet(net.n, net.depth, net.bias - step * grad_b,
+                                          net.weights - step * grad_w)
+            new_ls, new_l = losses(cand)
+            if new_ls <= l_s + 1e-9 or step < 1e-12:
+                break
+            step *= 0.5
+        net = cand
+        t += step
+        l_s, l_full = new_ls, new_l
+        count += 1
+        if count % record_every == 0:
+            rows.append((t, l_s, l_full, influence(net), float(net.pi[k])))
+    rows.append((t, l_s, l_full, influence(net), float(net.pi[k])))
+    return net, rows
+
+
+class TestFlowMatchesReference:
+    @pytest.mark.parametrize("n, depth, alpha, coeff, bias, step, horizon, halves", [
+        (50, 2, 0.05, None, 0.0, 1e-3, 1.0, False),   # canonical e_k target
+        (20, 2, 0.25, 1.0, 0.0, 1e-3, 1.0, False),
+        (6, 2, 0.5, 50.0, 0.5, 1e-2, 0.5, True),
+        (15, 3, 0.25, 1.0, 0.2, 1e-3, 1.0, False),
+        (6, 3, 0.5, 20.0, 0.5, 1e-2, 0.5, True),
+    ])
+    def test_bit_identical(self, n, depth, alpha, coeff, bias, step, horizon, halves):
+        k = 0
+        coeffs = np.eye(n)[k] if coeff is None else np.full(n, coeff)
+        target = gotu.LinearTarget(bias, coeffs)
+        net = gotu.init_weights(n, depth, alpha, 3)
+        ref_net, ref_rows = _reference_flow(net, target, k, step, horizon)
+        got_net, trace = gotu.gradient_flow(net, target, k, step=step, horizon=horizon)
+        np.testing.assert_array_equal(np.array(list(trace.rows())), np.array(ref_rows))
+        np.testing.assert_array_equal(got_net.weights, ref_net.weights)
+        assert got_net.bias == ref_net.bias
+        # the halving cases take more accepted steps than horizon / step
+        assert (len(trace.times) > horizon / step / 10 + 2) == halves
+
+    def test_deeper_net_close_to_reference(self):
+        # depth 4 multiplies the cofactors in a different order: equal to rounding
+        n, k = 10, 0
+        target = gotu.LinearTarget(0.0, np.ones(n))
+        net = gotu.init_weights(n, 4, 0.4, 5)
+        ref_net, ref_rows = _reference_flow(net, target, k, 1e-3, 0.5)
+        got_net, trace = gotu.gradient_flow(net, target, k, step=1e-3, horizon=0.5)
+        np.testing.assert_allclose(got_net.weights, ref_net.weights, rtol=1e-12)
+        np.testing.assert_allclose(np.array(list(trace.rows())), np.array(ref_rows),
+                                   rtol=1e-10)

@@ -151,6 +151,38 @@ class TestTraining:
                 if abs(fd) > 1e-10:
                     assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gradient_matches_per_prompt_closed_form(self, n):
+        # the prediction is linear in the last row r of W_PV and in W_KQ, so
+        # d yhat / d r_i and d yhat / d W_KQ[i, j] are closed-form predictions
+        # with that parameter replaced by a unit vector / unit matrix
+        length, batch, seed, stream = 5, 12, 3, 40
+        pd = icl.PromptDistribution.gaussian(n, length)
+        params = random_params(n, float(length), 2, scale=0.4)
+        loss, g_pv, g_kq = icl.loss_gradient(pd, params, batch, seed, stream)
+        X, xq, W = icl._sample_batch(pd, batch, seed, stream)
+        unit = np.eye(n + 1)
+        ref_loss, ref_pv, ref_kq = 0.0, np.zeros(n + 1), np.zeros((n + 1, n + 1))
+        for b in range(batch):
+            E = np.zeros((n + 1, length + 1))
+            E[:n, :length] = X[b].T
+            E[n, :length] = X[b] @ W[b]
+            E[:n, length] = xq[b]
+            err = icl.predict_closed_form(E, params) - float(W[b] @ xq[b])
+            ref_loss += err ** 2 / batch
+            for i in range(n + 1):
+                pv = np.zeros((n + 1, n + 1))
+                pv[-1] = unit[i]
+                ref_pv[i] += 2 * err / batch * icl.predict_closed_form(
+                    E, icl.LSAParams(pv, params.w_kq, params.rho))
+                for j in range(n + 1):
+                    ref_kq[i, j] += 2 * err / batch * icl.predict_closed_form(
+                        E, icl.LSAParams(params.w_pv, np.outer(unit[i], unit[j]), params.rho))
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_array_equal(g_pv[:-1], 0.0)
+        np.testing.assert_allclose(g_pv[-1], ref_pv, rtol=1e-12, atol=1e-12 * np.abs(ref_pv).max())
+        np.testing.assert_allclose(g_kq, ref_kq, rtol=1e-12, atol=1e-12 * np.abs(ref_kq).max())
+
     def test_zero_rate_leaves_params(self):
         pd = icl.PromptDistribution.gaussian(1, 3)
         params, _ = icl.train_lsa(pd, steps=5, rate=0.0, batch=32, seed=0)
