@@ -12,12 +12,17 @@ Unknown keys are rejected.  Every run writes a resolved copy of its full
 configuration next to the outputs, and a rerun from that copy reproduces
 the CSVs byte for byte (all randomness flows from the single seed).
 The output root can be overridden with the POLYTRANSFER_OUT env var.
+
+Each runner imports the modules it uses: a process loads (and, without
+cached bytecode, compiles) only the code its run needs, and scipy only
+where a run evaluates a normal CDF, a Gaussian log-density or a quadrature.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -25,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boolean, dist, gotu, icl, nets, poly, transfer, trunc
-from .heatmap import emit_svg_heatmap, grid_eval
 from .mc import McSpec
 from .rng import make_rng
 
@@ -233,6 +236,8 @@ def fit_extrapolating_poly(X, y, degree, seen_lo, seen_hi, band_lo, band_hi,
     geometry seminorm; no labels from outside the box are used) recovers
     the extrapolating solution.
     """
+    from . import poly
+
     n = len(X)
     penalty = None
     if band_penalty > 0:
@@ -245,6 +250,9 @@ def fit_extrapolating_poly(X, y, degree, seen_lo, seen_hi, band_lo, band_hi,
 
 def run_figure(cfg: dict, out_dir: Path, *, prefix: str, f_star, seen_lo, seen_hi,
                band_lo, band_hi, with_poly_net: bool) -> int:
+    from . import dist, nets
+    from .heatmap import emit_svg_heatmap, grid_eval
+
     seed = cfg["seed"]
     n_samples = cfg[f"{prefix}.n_samples"]
     degree = cfg[f"{prefix}.degree"]
@@ -316,6 +324,8 @@ def run_fig2(cfg: dict, out_dir: Path) -> int:
 
 
 def run_gaussian1d_coeffs(cfg: dict, out_dir: Path) -> int:
+    from . import dist, transfer
+
     d = cfg["gaussian1d.degree"]
     rows = []
     for mu in cfg["gaussian1d.mus"]:
@@ -334,6 +344,8 @@ def run_gaussian1d_coeffs(cfg: dict, out_dir: Path) -> int:
 
 
 def run_truncated(cfg: dict, out_dir: Path) -> int:
+    from . import dist, transfer, trunc
+
     grid = np.linspace(cfg["truncated.grid_lo"], cfg["truncated.grid_hi"],
                        cfg["truncated.grid_points"])
     reports = []
@@ -360,6 +372,8 @@ def run_truncated(cfg: dict, out_dir: Path) -> int:
 
 
 def run_boolean_transfer(cfg: dict, out_dir: Path) -> int:
+    from . import boolean
+
     n = cfg["boolean.n"]
     c_gap = cfg["boolean.c_gap"]
     seen = boolean.FrozenCoordinateSet(0, 1)
@@ -377,16 +391,16 @@ def run_boolean_transfer(cfg: dict, out_dir: Path) -> int:
         n, {1 << i: 1.0 / math.sqrt(n) for i in range(n)})
     add("normalized-sum", spread)
     add("synthetic-low-influence", spread, tau_override=2.0 ** -24)
+    # 24 distinct supports drawn from the nonzero masks of popcount <= 3
+    # (all of them when there are fewer); drawing from all of [1, 2^n) and
+    # keeping popcount <= 3 kept ~1% of the draws at n = 16
+    low = sorted(sum(1 << i for i in c) for k in (1, 2, 3)
+                 for c in itertools.combinations(range(n), k))
     rng = make_rng(cfg["seed"])
-    masks = [int(m) for m in rng.integers(1, 1 << n, size=24)]
-    coeffs = {}
-    for m in masks:
-        if int(m).bit_count() <= 3:
-            coeffs[m] = float(rng.standard_normal())
-    if coeffs:
-        raw = boolean.BooleanFn.from_fourier(n, coeffs)
-        fn, _ = boolean.normalize_variance(raw)
-        add("random-low-degree", fn)
+    picked = rng.choice(len(low), size=min(24, len(low)), replace=False)
+    coeffs = {low[i]: float(c) for i, c in zip(picked, rng.standard_normal(picked.size))}
+    fn, _ = boolean.normalize_variance(boolean.BooleanFn.from_fourier(n, coeffs))
+    add("random-low-degree", fn)
     write_csv(out_dir / "boolean.csv",
               ["family", "n", "degree", "tau", "mass", "gap", "condition_holds",
                "lhs_eq_f2", "coefficient", "source_moment", "satisfied"], rows)
@@ -394,6 +408,8 @@ def run_boolean_transfer(cfg: dict, out_dir: Path) -> int:
 
 
 def run_gotu(cfg: dict, out_dir: Path) -> int:
+    from . import gotu
+
     n, depth = cfg["gotu.n"], int(cfg["gotu.depth"])
     k = 0
     c0 = cfg["gotu.c0"]
@@ -427,6 +443,8 @@ def run_gotu(cfg: dict, out_dir: Path) -> int:
 
 
 def run_icl_shift(cfg: dict, out_dir: Path) -> int:
+    from . import dist, icl, transfer
+
     n, length = cfg["icl.n"], cfg["icl.length"]
     source = icl.PromptDistribution.gaussian(n, length)
     params, trace = icl.train_lsa(source, steps=cfg["icl.steps"],
@@ -434,22 +452,24 @@ def run_icl_shift(cfg: dict, out_dir: Path) -> int:
                                   seed=cfg["seed"])
     write_csv(out_dir / "train_trace.csv", ["step", "loss", "grad_norm"],
               list(zip(trace.steps, trace.losses, trace.grad_norms)))
-    reports = []
-    mc = McSpec(cfg["icl.mc"], cfg["seed"] + 1)
+    targets = []
     for mu in cfg["icl.mus"]:
         mean = np.zeros(n)
         mean[0] = mu
-        target = icl.PromptDistribution(
-            source.p_x, source.p_x_query, dist.Gaussian(mean, np.eye(n)), length)
-        rep = icl.shift_report(params, source, target, "task", mc,
-                               exponent=cfg["icl.exponent"])
+        targets.append(icl.PromptDistribution(
+            source.p_x, source.p_x_query, dist.Gaussian(mean, np.eye(n)), length))
+    reports = icl.shift_reports(params, source, targets, "task",
+                                McSpec(cfg["icl.mc"], cfg["seed"] + 1),
+                                exponent=cfg["icl.exponent"])
+    for mu, rep in zip(cfg["icl.mus"], reports):
         rep.kind = f"icl-task[mu={mu:.4g}]"
-        reports.append(rep)
     transfer.write_reports(out_dir / "reports.csv", reports)
     return 0
 
 
 def run_transfer_ensemble(cfg: dict, out_dir: Path) -> int:
+    from . import transfer
+
     rows = []
     for d in (int(v) for v in cfg["ensemble.degrees"]):
         worst = transfer.ensemble_max_ratio((0.0, 1.0), (0.0, 3.0), d,

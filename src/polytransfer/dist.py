@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .mc import McEstimate, McSpec
 from .rng import make_rng
@@ -138,20 +137,6 @@ class BoxSet(TruncationSet):
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
 
-@dataclass(frozen=True)
-class FrozenCoordinate(TruncationSet):
-    """{x : x[index] == value}; used on the Boolean hypercube."""
-
-    index: int
-    value: float
-
-    def contains(self, x):
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        return pts[:, self.index] == self.value
-
-
 # ---------------------------------------------------------------------------
 # Density catalog
 # ---------------------------------------------------------------------------
@@ -217,6 +202,9 @@ class Gaussian(Density):
     def sample(self, n, seed, stream=0):
         rng = make_rng(seed, stream)
         z = rng.standard_normal((n, self.dim))
+        if self.dim == 1:
+            # same bits as the matmul: a product with one term has no sum
+            return self.mean + z * self._chol[0, 0]
         return self.mean + z @ self._chol.T
 
     def bounding_box(self, k_sigma=8.0):
@@ -333,6 +321,8 @@ class TruncatedGaussian(Density):
         return out
 
     def _sample_inverse_cdf(self, n, seed, stream):
+        from scipy.special import ndtr, ndtri
+
         mu = float(self.base.mean[0])
         sd = math.sqrt(float(self.base.cov[0, 0]))
         ints = self.trunc_set.intervals
@@ -713,6 +703,8 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
     Exact (CDF differences) for 1-D interval unions, any-dimension
     halfspaces, and boxes with diagonal covariance; Monte Carlo otherwise.
     """
+    from scipy.special import ndtr
+
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:

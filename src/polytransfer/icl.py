@@ -290,13 +290,26 @@ def shift_report(params: LSAParams, source: PromptDistribution,
     The exponent on the source-side ratio is a configuration stand-in for
     the unspecified absolute constant; default 10, the loss degree.
     """
+    return shift_reports(params, source, [target], kind, mc, exponent, constant)[0]
+
+
+def shift_reports(params: LSAParams, source: PromptDistribution, targets,
+                  kind: str, mc: McSpec, exponent: int = DEFAULT_SHIFT_EXPONENT,
+                  constant: float = 1.0) -> list:
+    """``shift_report`` for each target against one source: the source loss
+    is estimated once and shared, so each report equals its single-target
+    call."""
     if kind not in SHIFT_KINDS:
         raise ValueError(f"shift kind must be one of {SHIFT_KINDS}")
     l_p = population_loss(source, params, mc)
-    l_q = population_loss(target, params, McSpec(mc.n_samples, mc.seed + 1))
     if l_p.value <= 3.0 * l_p.stderr:
         raise ValueError("source loss is degenerate (within 3 se of zero)")
+    return [_shift_report(params, source, target, kind, mc, l_p, exponent, constant)
+            for target in targets]
 
+
+def _shift_report(params, source, target, kind, mc, l_p, exponent, constant):
+    l_q = population_loss(target, params, McSpec(mc.n_samples, mc.seed + 1))
     coefficient = math.inf
     bridge_label = "none"
     if kind == "task":

@@ -300,13 +300,19 @@ def abs_moment_uniform_1d(coeffs, a: float, b: float) -> float:
     piecewise, so the kinks of |p| cost no accuracy.  This is the
     quadrature-free oracle behind the ensemble checks.
     """
+    return _abs_moment(*_antiderivative_and_roots(coeffs), a, b)
+
+
+def _antiderivative_and_roots(coeffs):
     from numpy.polynomial import Polynomial
 
     p = Polynomial(np.asarray(coeffs, dtype=float))
-    anti = p.integ()
-    roots = [r.real for r in p.roots()
-             if abs(r.imag) < 1e-12 and a < r.real < b]
-    cuts = [a] + sorted(roots) + [b]
+    return p.integ(), [r.real for r in p.roots() if abs(r.imag) < 1e-12]
+
+
+def _abs_moment(anti, roots, a: float, b: float) -> float:
+    """E|p| under U([a, b]) from p's antiderivative and its real roots."""
+    cuts = [a] + sorted(r for r in roots if a < r < b) + [b]
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
@@ -331,8 +337,9 @@ def ensemble_max_ratio(P_interval, Q_interval, degree: int, count: int,
     for _ in range(count):
         c = rng.standard_normal(degree + 1)
         c /= np.linalg.norm(c)
-        e_p = abs_moment_uniform_1d(c, a_p, b_p)
-        e_q = abs_moment_uniform_1d(c, a_q, b_q)
+        anti, roots = _antiderivative_and_roots(c)
+        e_p = _abs_moment(anti, roots, a_p, b_p)
+        e_q = _abs_moment(anti, roots, a_q, b_q)
         if e_p <= 0:
             continue
         worst = max(worst, (e_q / e_p) ** (1.0 / degree))

@@ -1,9 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polytransfer
 from polytransfer import cli
 from polytransfer.heatmap import Heatmap, emit_svg_heatmap, grid_eval
 
@@ -173,6 +178,16 @@ class TestExperiments:
         assert rows["dictator"]["condition_holds"] == "False"
         assert rows["synthetic-low-influence"]["condition_holds"] == "True"
 
+    def test_boolean_random_low_degree_present_at_every_seed(self, tmp_path):
+        # drawing masks from all of [1, 2^n) and keeping popcount <= 3 lost
+        # this family at 14 of these seeds, the default seed 0 among them
+        out = tmp_path / "run"
+        for seed in range(20):
+            run_config(tmp_path, f"experiment = boolean-transfer\nout = {out}\nseed = {seed}\n")
+            with open(out / "boolean.csv") as fh:
+                rows = {r["family"]: r for r in csv.DictReader(fh)}
+            assert int(rows["random-low-degree"]["degree"]) <= 3, seed
+
     def test_gotu_experiment_small(self, tmp_path):
         out = tmp_path / "run"
         run_config(tmp_path, f"""
@@ -231,3 +246,38 @@ class TestExperiments:
         cfg.write_text("experiment = transfer-ensemble\nout = sub\nensemble.count = 10\n")
         assert cli.main(["run", str(cfg)]) == 0
         assert (tmp_path / "root" / "sub" / "ensemble.csv").exists()
+
+
+EXPERIMENT_MODULES = {f"polytransfer.{m}" for m in (
+    "boolean", "dist", "gotu", "heatmap", "icl", "nets", "poly", "transfer", "trunc")}
+
+
+def modules_loaded_by(code: str, cwd) -> set:
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
+    env = dict(os.environ)
+    env.pop("POLYTRANSFER_OUT", None)
+    src = str(Path(polytransfer.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImports:
+    """A CLI process loads only what its run uses (scipy alone takes
+    ~0.25 s to import)."""
+
+    def test_cli_import_loads_no_experiment_module_or_scipy(self, tmp_path):
+        loaded = modules_loaded_by("import polytransfer.cli", tmp_path)
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+        assert not loaded & EXPERIMENT_MODULES
+
+    def test_boolean_run_loads_no_scipy(self, tmp_path):
+        (tmp_path / "c.txt").write_text(
+            f"experiment = boolean-transfer\nout = {tmp_path / 'run'}\nboolean.n = 10\n")
+        loaded = modules_loaded_by(
+            "from polytransfer import cli\n"
+            "assert cli.main(['run', 'c.txt']) == 0", tmp_path)
+        assert "polytransfer.boolean" in loaded
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}

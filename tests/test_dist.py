@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
 from polytransfer import dist
 from polytransfer.mc import McSpec
+from polytransfer.rng import make_rng
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -128,6 +130,17 @@ class TestSampling:
         g = dist.Gaussian([0.0, 1.0], np.eye(2))
         np.testing.assert_array_equal(g.sample(1000, 5), g.sample(1000, 5))
         assert not np.array_equal(g.sample(1000, 5), g.sample(1000, 6))
+
+    @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e6), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 20))
+    @settings(max_examples=60, deadline=None)
+    def test_1d_sample_bits_equal_matmul(self, mean, var, n, seed, stream):
+        g = dist.Gaussian([mean], [[var]])
+        z = make_rng(seed, stream).standard_normal((n, 1))
+        expected = g.mean + z @ g._chol.T
+        got = g.sample(n, seed, stream)
+        assert got.shape == (n, 1)
+        assert got.tobytes() == expected.tobytes()
 
     def test_truncated_support(self):
         s = dist.IntervalUnion(((0.0, math.inf),))

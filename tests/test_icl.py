@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polytransfer import dist, icl, poly
-from polytransfer.mc import McSpec
+from polytransfer.mc import McEstimate, McSpec
 
 
 def random_params(n, rho, seed, scale=0.5):
@@ -220,6 +220,33 @@ class TestShiftReport:
         z = 1.0 + 1.0 / math.sqrt(2 * math.pi)
         assert rep.coefficient == pytest.approx(z ** 11, rel=1e-9)
         assert rep.degree == 10
+
+    def test_batched_reports_match_single_target_reports(self, monkeypatch):
+        pd = icl.PromptDistribution.gaussian(1, 5)
+        params = random_params(1, 5.0, 0, scale=0.2)
+        targets = [icl.PromptDistribution(pd.p_x, pd.p_x_query,
+                                          dist.Gaussian([mu], [[1.0]]), 5)
+                   for mu in (0.5, 1.0, 2.0)]
+        mc = McSpec(20_000, 3)
+        single = [icl.shift_report(params, pd, t, "task", mc) for t in targets]
+        loss = icl.population_loss
+        calls = []
+
+        def counting(d, p, spec):
+            calls.append(d)
+            return loss(d, p, spec)
+
+        monkeypatch.setattr(icl, "population_loss", counting)
+        batched = icl.shift_reports(params, pd, targets, "task", mc)
+        assert batched == single
+        assert sum(d is pd for d in calls) == 1
+        assert len(calls) == 1 + len(targets)
+
+    def test_degenerate_source_rejected(self, monkeypatch):
+        pd = icl.PromptDistribution.gaussian(1, 3)
+        monkeypatch.setattr(icl, "population_loss", lambda *args: McEstimate(0.0, 0.0))
+        with pytest.raises(ValueError, match="degenerate"):
+            icl.shift_reports(random_params(1, 3.0, 0), pd, [pd], "task", McSpec(100, 0))
 
     def test_unknown_kind_rejected(self):
         pd = icl.PromptDistribution.gaussian(1, 3)

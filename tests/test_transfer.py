@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 from polytransfer import dist, poly, transfer
 from polytransfer.mc import McSpec
+from polytransfer.rng import make_rng
 
 
 class TestHolderPair:
@@ -253,6 +254,20 @@ class TestEnsemble:
             num = quad(lambda t: abs(np.polynomial.polynomial.polyval(t, c)),
                        0.0, 3.0, limit=200)[0] / 3.0
             assert exact == pytest.approx(num, rel=1e-8)
+
+    def test_ensemble_matches_per_interval_oracle(self):
+        # reference: the public oracle called once per interval and draw
+        for d in (1, 2, 3):
+            rng = make_rng(4)
+            want = 0.0
+            for _ in range(50):
+                c = rng.standard_normal(d + 1)
+                c /= np.linalg.norm(c)
+                e_p = transfer.abs_moment_uniform_1d(c, 0.0, 1.0)
+                e_q = transfer.abs_moment_uniform_1d(c, 0.0, 3.0)
+                if e_p > 0:
+                    want = max(want, (e_q / e_p) ** (1.0 / d))
+            assert transfer.ensemble_max_ratio((0.0, 1.0), (0.0, 3.0), d, 50, 4) == want
 
     def test_ensemble_below_frozen_bound(self):
         for d in (1, 2, 3):
