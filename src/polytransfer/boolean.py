@@ -113,9 +113,6 @@ class BooleanFn:
 
     # -- representations ----------------------------------------------------
 
-    def with_both(self) -> "BooleanFn":
-        return fourier_transform(self)
-
     @property
     def fourier(self) -> dict:
         """Sparse view of the nonzero Fourier coefficients."""

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mc import McSpec
+from .mc import McSpec, mean_and_stderr
 from .rng import make_rng
 
 
@@ -190,9 +190,8 @@ def _region_mse(model, f_star, sampler, mc: McSpec):
     pts = sampler(mc.n_samples, mc.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         err = (np.asarray(model(pts)) - f_star(pts)) ** 2
-    if not np.all(np.isfinite(err)):
-        return math.inf, math.nan  # the model overflows on this region
-    return float(np.mean(err)), float(np.std(err, ddof=1) / math.sqrt(err.size))
+    est = mean_and_stderr(err)
+    return est.value, est.stderr
 
 
 def _plot_values(model, pts, cap: float = 1e12):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc import McEstimate, McSpec
+from .mc import McEstimate, McSpec, mean_and_stderr
 from .rng import make_rng
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -62,9 +62,7 @@ def _as_points(x, dim: int) -> np.ndarray:
 
 def _maybe_scalar(values: np.ndarray, x) -> float | np.ndarray:
     a = np.asarray(x)
-    if a.ndim == 0 or (a.ndim == 1 and values.size == 1 and a.size != values.size):
-        return float(values[0])
-    if a.ndim == 1 and values.size == 1:
+    if a.ndim == 0 or (a.ndim == 1 and values.size == 1):
         return float(values[0])
     return values
 
@@ -115,14 +113,6 @@ class IntervalUnion(TruncationSet):
         for a, b in self.intervals:
             out |= (pts >= a) & (pts <= b)
         return out
-
-    @staticmethod
-    def at_least(a: float) -> "IntervalUnion":
-        return IntervalUnion(((a, math.inf),))
-
-    @staticmethod
-    def real_line() -> "IntervalUnion":
-        return IntervalUnion(((-math.inf, math.inf),))
 
 
 @dataclass(frozen=True)
@@ -420,9 +410,6 @@ class GaussianBridge(Density):
         hi[0] += self.gamma
         if self.rotation is None:
             return lo, hi
-        corners = []
-        for j in range(self.dim):
-            corners.append((lo[j], hi[j]))
         # rotate the box back conservatively: use the enclosing ball
         center = self._unrotate(((lo + hi) / 2).reshape(1, -1))[0]
         radius = 0.5 * float(np.linalg.norm(hi - lo))
@@ -687,13 +674,13 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
         return McEstimate(math.inf, math.nan, flag="infinite-ratio")
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(q > 0, p / q, 0.0)
-    ra = r ** alpha
-    m = float(np.mean(ra))
-    se_m = float(np.std(ra, ddof=1) / math.sqrt(mc.n_samples)) if mc.n_samples > 1 else math.nan
-    if m <= 0:
+    est = mean_and_stderr(r ** alpha)
+    if est.flag:
+        return est
+    if est.value <= 0:
         return McEstimate(0.0, 0.0, flag="degenerate")
-    value = m ** (1.0 / alpha)
-    stderr = se_m * value / (alpha * m)  # delta method on m^(1/alpha)
+    value = est.value ** (1.0 / alpha)
+    stderr = est.stderr * value / (alpha * est.value)  # delta method on m^(1/alpha)
     return McEstimate(value, stderr)
 
 
@@ -736,7 +723,4 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
     mc = mc or McSpec(200_000, seed=0)
     g = Gaussian(mean, cov)
     x = g.sample(mc.n_samples, mc.seed)
-    ind = trunc_set.contains(x).astype(float)
-    m = float(np.mean(ind))
-    se = float(np.std(ind, ddof=1) / math.sqrt(mc.n_samples))
-    return McEstimate(m, se)
+    return mean_and_stderr(trunc_set.contains(x).astype(float))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mc import mean_and_stderr
 from .rng import make_rng
 
 TAU_DENOM_FLOOR = 1e-18
@@ -241,8 +242,8 @@ def mc_seen_loss(net: DiagonalLinearNet, target: LinearTarget, k: int,
     rng = make_rng(seed)
     x = rng.choice([-1.0, 1.0], size=(n_samples, net.n))
     x[:, k] = 1.0
-    err = (net(x) - target(x)) ** 2
-    return float(np.mean(err)), float(np.std(err, ddof=1) / math.sqrt(n_samples))
+    est = mean_and_stderr((net(x) - target(x)) ** 2)
+    return est.value, est.stderr
 
 
 def transfer_threshold_coefficient(mass: float = 0.5, k_d: float = 1.0) -> float:

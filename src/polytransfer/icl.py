@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dist
-from .mc import McEstimate, McSpec
+from .mc import McEstimate, McSpec, mean_and_stderr
 from .rng import make_rng
 from .transfer import HolderPair, TransferReport, catalog_coefficient
 
@@ -205,9 +205,7 @@ def population_loss(pd: PromptDistribution, params: LSAParams,
     """Monte Carlo estimate of E[(yhat_query - w . x_query)^2]."""
     X, xq, W = _sample_batch(pd, mc.n_samples, mc.seed, 0)
     yhat, targets = _batch_predictions(X, xq, W, params)[:2]
-    err = (yhat - targets) ** 2
-    return McEstimate(float(np.mean(err)),
-                      float(np.std(err, ddof=1) / math.sqrt(err.size)))
+    return mean_and_stderr((yhat - targets) ** 2)
 
 
 def _gram_times(X, y, xq, proj, proj_x):

@@ -1,4 +1,9 @@
-"""Monte Carlo plumbing shared across modules: sample budgets and estimates."""
+"""Monte Carlo plumbing shared across modules: sample budgets and estimates.
+
+Every Monte Carlo mean and standard error in the package comes from
+:func:`mean_and_stderr`, which also decides the two edge cases: fewer than
+two values, and values or a spread too large to represent.
+"""
 
 from __future__ import annotations
 
@@ -29,20 +34,22 @@ class McEstimate:
     def __float__(self) -> float:
         return self.value
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def scaled(self, factor: float) -> "McEstimate":
-        return McEstimate(self.value * factor, self.stderr * abs(factor), self.flag)
-
 
 def mean_and_stderr(values) -> McEstimate:
+    """Sample mean and standard error (ddof = 1) of ``values``.
+
+    With fewer than two values the standard error is nan.  Non-finite
+    values, or a spread whose square overflows, give
+    ``McEstimate(inf, nan, flag="overflow")``; no floating-point warning
+    escapes.
+    """
     import numpy as np
 
     v = np.asarray(values, dtype=float)
     n = v.size
-    mean = float(np.mean(v))
-    if n < 2:
-        return McEstimate(mean, float("nan"))
-    return McEstimate(mean, float(np.std(v, ddof=1) / math.sqrt(n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(v))
+        se = float(np.std(v, ddof=1) / math.sqrt(n)) if n >= 2 else math.nan
+    if not math.isfinite(mean) or (n >= 2 and not math.isfinite(se)):
+        return McEstimate(math.inf, math.nan, flag="overflow")
+    return McEstimate(mean, se)

@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .mc import McEstimate, McSpec
+from .mc import McEstimate, McSpec, mean_and_stderr
 from .rng import make_rng
 
 MONOMIAL = "monomial"
@@ -147,10 +147,6 @@ class MultiPoly:
         for a, c in other.coeffs.items():
             coeffs[a] = coeffs.get(a, 0.0) - c
         return MultiPoly(self.dim, max(self.degree, other.degree), self.basis, coeffs, self.box)
-
-    def scaled(self, factor: float) -> "MultiPoly":
-        return MultiPoly(self.dim, self.degree, self.basis,
-                         {a: c * factor for a, c in self.coeffs.items()}, self.box)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -329,11 +325,12 @@ def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
     """Sample mean and standard error of g under the density.
 
     ``g`` may be vectorized over an (m, dim) array or accept single points.
-    Deterministic given the seed.  ``chunks > 1`` partitions the budget
-    across derived generator streams and combines the partial means by
-    sample weight, so the partitioning (and any parallel evaluation of the
-    partitions) cannot change the estimate.  Non-finite values abort with
-    the offending point.
+    Deterministic given the seed and ``chunks``.  ``chunks > 1`` draws chunk
+    i from generator stream i + 1 and pools the draws, so the estimate
+    depends on ``chunks``.  For ``chunks >= 18`` on a 2-D ``Product`` those
+    streams alias the factor streams (``Product.sample(stream=1)`` column 1
+    equals ``Product.sample(stream=18)`` column 0) and draws repeat.
+    Non-finite values abort with the offending point.
     """
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
@@ -345,9 +342,7 @@ def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
         parts = [_eval_batch(g, density.sample(size, mc.seed, stream=i + 1))
                  for i, size in enumerate(sizes) if size > 0]
         v = np.concatenate(parts)
-    m = float(np.mean(v))
-    se = float(np.std(v, ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-    return McEstimate(m, se)
+    return mean_and_stderr(v)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ since (y - c)^2 is a nonnegative degree-2 polynomial of y and the
 untruncated normal is log-concave.  The coefficient does not depend on the
 complexity of f*.
 
-Label-space expectations over interval unions use panelized Gauss-Legendre
-quadrature (absolute error well below 1e-10), keeping the inequality checks
-free of Monte Carlo noise; general sets fall back to Monte Carlo.
+Label-space expectations over interval unions use the closed-form moments
+of the truncated normal (Johnson, Kotz & Balakrishnan, *Continuous
+Univariate Distributions* vol. 1), keeping the inequality checks free of
+Monte Carlo noise; general sets fall back to Monte Carlo.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from . import dist
 from .mc import McSpec
 from .transfer import HolderPair, TransferReport
 
-QUAD_MASS_FLOOR = 1e-6
+EXACT_MASS_FLOOR = 1e-6
 MC_MASS_FLOOR = 1e-3
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_PANEL_WIDTH = 2.0   # in noise standard deviations
-_TAIL_CUT = 39.0     # N(0,1) density underflows past ~39 sd
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -76,37 +75,38 @@ def _intervals_of(s: dist.TruncationSet):
     return None
 
 
-def _panel_quad(lo: float, hi: float, fn) -> float:
-    """Gauss-Legendre on panels of width <= _PANEL_WIDTH over [lo, hi]."""
-    if hi <= lo:
-        return 0.0
-    n_panels = max(1, int(math.ceil((hi - lo) / _PANEL_WIDTH)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        y = mid + half * _GL_NODES
-        total += half * float(np.sum(_GL_WEIGHTS * fn(y)))
-    return total
-
-
-def _normal_pdf(y: np.ndarray, mu: float) -> np.ndarray:
-    """N(mu, 1) density at y."""
-    z = y - mu
-    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
+def _pdf_terms(z: float) -> tuple[float, float]:
+    """(phi(z), z phi(z)) for the N(0, 1) density phi; both 0 at an infinite z."""
+    if math.isinf(z):
+        return 0.0, 0.0
+    p = math.exp(-0.5 * z * z) / _SQRT_2PI
+    return p, z * p
 
 
 def truncated_normal_moments(mu: float, intervals) -> tuple[float, float, float]:
-    """(mass, first moment, second moment) of N(mu, 1) restricted to intervals."""
+    """(mass, first moment, second moment) of N(mu, 1) restricted to intervals.
+
+    With z_a = a - mu and z_b = b - mu, each interval [a, b] contributes
+
+        m0 = Phi(z_b) - Phi(z_a)
+        m1 = mu m0 + phi(z_a) - phi(z_b)
+        m2 = (mu^2 + 1) m0 + 2 mu (phi(z_a) - phi(z_b)) + z_a phi(z_a) - z_b phi(z_b).
+
+    The mass of an interval right of the mean comes from the upper tail,
+    where the CDF difference would cancel.
+    """
     m0 = m1 = m2 = 0.0
     for a, b in intervals:
-        lo = max(a, mu - _TAIL_CUT)
-        hi = min(b, mu + _TAIL_CUT)
-        if hi <= lo:
-            continue
-        m0 += _panel_quad(lo, hi, lambda y: _normal_pdf(y, mu))
-        m1 += _panel_quad(lo, hi, lambda y: y * _normal_pdf(y, mu))
-        m2 += _panel_quad(lo, hi, lambda y: y * y * _normal_pdf(y, mu))
+        za, zb = a - mu, b - mu
+        if za > 0:
+            mass = 0.5 * (math.erfc(za / _SQRT_2) - math.erfc(zb / _SQRT_2))
+        else:
+            mass = 0.5 * (math.erfc(-zb / _SQRT_2) - math.erfc(-za / _SQRT_2))
+        pa, za_pa = _pdf_terms(za)
+        pb, zb_pb = _pdf_terms(zb)
+        m0 += mass
+        m1 += mu * mass + pa - pb
+        m2 += (mu * mu + 1.0) * mass + 2.0 * mu * (pa - pb) + za_pa - zb_pb
     return m0, m1, m2
 
 
@@ -114,8 +114,8 @@ def sample_truncated_normal(mean: float, var: float, s: dist.TruncationSet,
                             n: int, seed: int) -> np.ndarray:
     """Draws from N(mean, var) conditioned on s; all samples land inside s."""
     mass = float(dist.gaussian_mass([mean], [[var]], s))
-    if mass < QUAD_MASS_FLOOR:
-        raise MassTooSmallError(f"truncation mass {mass:.3g} below {QUAD_MASS_FLOOR}")
+    if mass < EXACT_MASS_FLOOR:
+        raise MassTooSmallError(f"truncation mass {mass:.3g} below {EXACT_MASS_FLOOR}")
     tg = dist.TruncatedGaussian([mean], [[var]], s)
     return tg.sample(n, seed)[:, 0]
 
@@ -126,8 +126,8 @@ def _per_location_expected_sq(mu: float, c: float, s: dist.TruncationSet,
     intervals = _intervals_of(s)
     if intervals is not None:
         m0, m1, m2 = truncated_normal_moments(mu, intervals)
-        if m0 < QUAD_MASS_FLOOR:
-            raise MassTooSmallError(f"truncation mass {m0:.3g} below {QUAD_MASS_FLOOR}")
+        if m0 < EXACT_MASS_FLOOR:
+            raise MassTooSmallError(f"truncation mass {m0:.3g} below {EXACT_MASS_FLOOR}")
         return (m2 - 2.0 * c * m1 + c * c * m0) / m0
     if mc is None:
         raise ValueError("general truncation sets need a Monte Carlo budget")
@@ -207,7 +207,7 @@ def truncated_transfer_check(model, inst: TruncatedRegressionInstance,
                              mc: McSpec | None = None) -> TruncatedTransferResult:
     """Report both directions of the truncated/full MSE comparison."""
     alpha = alpha_mass_min(inst)
-    floor = QUAD_MASS_FLOOR if _intervals_of(inst.trunc_set) is not None else MC_MASS_FLOOR
+    floor = EXACT_MASS_FLOOR if _intervals_of(inst.trunc_set) is not None else MC_MASS_FLOOR
     if alpha < max(floor, 1e-3):
         raise MassTooSmallError(f"alpha = {alpha:.3g} below the usable floor")
     t_mse = truncated_mse(model, inst, mc)

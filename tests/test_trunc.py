@@ -25,9 +25,49 @@ def phi_moments_interval(mu, a, b, c):
     return var + (mean - c) ** 2
 
 
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def quadrature_moments(mu, intervals):
+    """Reference (mass, m1, m2) of N(mu, 1) on intervals: Gauss-Legendre on
+    panels at most 2 sd wide, clipped at 39 sd where the density underflows."""
+    panel_width, tail_cut = 2.0, 39.0
+    m = np.zeros(3)
+    for a, b in intervals:
+        lo, hi = max(a, mu - tail_cut), min(b, mu + tail_cut)
+        if hi <= lo:
+            continue
+        edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / panel_width)) + 1)
+        for pa, pb in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (pb - pa)
+            y = 0.5 * (pa + pb) + half * GL_NODES
+            w = half * GL_WEIGHTS * np.exp(-(y - mu) ** 2 / 2.0) / math.sqrt(2 * math.pi)
+            m += [np.sum(w), np.sum(w * y), np.sum(w * y * y)]
+    return m
+
+
 def one_point_instance(mu, s):
     return trunc.TruncatedRegressionInstance(
         np.zeros((1, 1)), lambda x, mu=mu: mu, s)
+
+
+class TestMoments:
+    SETS = {
+        "upper-half-line": ((0.0, math.inf),),
+        "lower-half-line": ((-math.inf, 0.5),),
+        "bounded": ((-1.0, 2.0),),
+        "three-piece": ((-math.inf, -2.0), (-0.5, 0.5), (1.5, math.inf)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_closed_form_matches_quadrature(self, name):
+        for mu in np.linspace(-5.0, 5.0, 101):
+            m0, m1, m2 = trunc.truncated_normal_moments(mu, self.SETS[name])
+            q0, q1, q2 = quadrature_moments(mu, self.SETS[name])
+            assert m0 == pytest.approx(q0, rel=1e-11)
+            assert m2 == pytest.approx(q2, rel=1e-11)
+            # m1 can cross zero; Cauchy-Schwarz bounds it by sqrt(m0 m2)
+            assert abs(m1 - q1) <= 1e-11 * math.sqrt(q0 * q2)
 
 
 class TestSampler:
