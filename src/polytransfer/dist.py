@@ -9,6 +9,10 @@ Rényi divergences, Gaussian mass of truncation sets, and bridge construction.
 All densities are evaluable (``pdf``), samplable (``sample``), and carry a
 bounding box used as the default search region for ratio sups.  Sampling is
 deterministic given ``(seed, stream)``; see :mod:`polytransfer.rng`.
+``blocks(n, seed, stream, size)`` yields the same draws in row blocks of at
+most ``size``: the blocks concatenate to ``sample(n, seed, stream)`` bit for
+bit, and Gaussians, uniform boxes and their products hold one block at a
+time, so a Monte Carlo sum can stream n draws in bounded memory.
 """
 
 from __future__ import annotations
@@ -58,6 +62,31 @@ def _as_points(x, dim: int) -> np.ndarray:
             raise DimensionMismatchError(f"points have dim {a.shape[1]}, expected {dim}")
         return a
     raise DimensionMismatchError("points must be at most 2-D")
+
+
+def _block_sizes(n: int, size: int) -> list:
+    if size < 1:
+        raise ValueError("block size must be >= 1")
+    return [min(size, n - start) for start in range(0, n, size)]
+
+
+def rowwise_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` for a 2-D ``m``, summed term by term over the last axis of ``a``.
+
+    BLAS may round a row of a product differently with the number of rows
+    (a single row, for one, takes another kernel), so draws evaluated in
+    blocks would not match one whole batch.  Here every row sees the same
+    operations in the same order whatever the row count; with one term (a
+    1-D density, a scalar feature) it is a single product, the same bits as
+    the matmul.
+    """
+    cols = []
+    for j in range(m.shape[1]):
+        col = a[..., 0] * m[0, j]
+        for k in range(1, a.shape[-1]):
+            col += a[..., k] * m[k, j]
+        cols.append(col)
+    return np.stack(cols, axis=-1)
 
 
 def _maybe_scalar(values: np.ndarray, x) -> float | np.ndarray:
@@ -147,6 +176,18 @@ class Density:
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
         raise NotImplementedError
 
+    def blocks(self, n: int, seed: int, stream: int, size: int):
+        """Successive row blocks of at most ``size`` rows that concatenate to
+        ``sample(n, seed, stream)`` bit for bit.
+
+        This default slices one full sample, which keeps the rejection and
+        inverse-CDF samplers exact; densities that draw row by row override
+        it to hold only one block.
+        """
+        sizes = _block_sizes(n, size)
+        full = self.sample(n, seed, stream)
+        return (full[i * size:i * size + m] for i, m in enumerate(sizes))
+
     def bounding_box(self, k_sigma: float = 8.0):
         """(lo, hi) box covering essentially all of the mass."""
         raise NotImplementedError
@@ -174,8 +215,10 @@ class Gaussian(Density):
             self._chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as e:
             raise NotSPDError("covariance must be positive definite") from e
+        diag = np.diag(self._chol)
+        self._diag = diag if np.array_equal(self._chol, np.diag(diag)) else None
         self._log_norm = -0.5 * self.dim * math.log(2 * math.pi) - float(
-            np.sum(np.log(np.diag(self._chol)))
+            np.sum(np.log(diag))
         )
         self.label = f"gaussian(dim={self.dim})"
 
@@ -189,13 +232,18 @@ class Gaussian(Density):
     def pdf(self, x):
         return _maybe_scalar(np.exp(self.log_pdf(x)), x)
 
+    def _from_standard(self, z):
+        if self._diag is not None:   # the matmul's bits: every other term is 0
+            return self.mean + z * self._diag
+        return self.mean + rowwise_matmul(z, self._chol.T)
+
     def sample(self, n, seed, stream=0):
+        return self._from_standard(make_rng(seed, stream).standard_normal((n, self.dim)))
+
+    def blocks(self, n, seed, stream, size):
         rng = make_rng(seed, stream)
-        z = rng.standard_normal((n, self.dim))
-        if self.dim == 1:
-            # same bits as the matmul: a product with one term has no sum
-            return self.mean + z * self._chol[0, 0]
-        return self.mean + z @ self._chol.T
+        return (self._from_standard(rng.standard_normal((m, self.dim)))
+                for m in _block_sizes(n, size))
 
     def bounding_box(self, k_sigma=8.0):
         sd = np.sqrt(np.diag(self.cov))
@@ -222,9 +270,12 @@ class UniformBox(Density):
         return _maybe_scalar(np.where(inside, self._density, 0.0), x)
 
     def sample(self, n, seed, stream=0):
+        return self.lo + make_rng(seed, stream).random((n, self.dim)) * (self.hi - self.lo)
+
+    def blocks(self, n, seed, stream, size):
         rng = make_rng(seed, stream)
-        u = rng.random((n, self.dim))
-        return self.lo + u * (self.hi - self.lo)
+        return (self.lo + rng.random((m, self.dim)) * (self.hi - self.lo)
+                for m in _block_sizes(n, size))
 
     def bounding_box(self, k_sigma=8.0):
         return self.lo.copy(), self.hi.copy()
@@ -251,6 +302,11 @@ class Product(Density):
     def sample(self, n, seed, stream=0):
         cols = [f.sample(n, seed, stream + 17 * (i + 1))[:, 0] for i, f in enumerate(self.factors)]
         return np.column_stack(cols)
+
+    def blocks(self, n, seed, stream, size):
+        per_factor = [f.blocks(n, seed, stream + 17 * (i + 1), size)
+                      for i, f in enumerate(self.factors)]
+        return (np.column_stack([b[:, 0] for b in cols]) for cols in zip(*per_factor))
 
     def bounding_box(self, k_sigma=8.0):
         los, his = zip(*(f.bounding_box(k_sigma) for f in self.factors))

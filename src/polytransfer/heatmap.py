@@ -51,14 +51,19 @@ def grid_eval(fn, xlo, xhi, ylo, yhi, resolution: int) -> Heatmap:
     return Heatmap(xlo, xhi, ylo, yhi, vals)
 
 
-def _lerp(a, b, t):
-    return tuple(int(round(a[i] + (b[i] - a[i]) * t)) for i in range(3))
+def colors_of(values, vmax: float) -> np.ndarray:
+    """Fill colors ``#rrggbb`` of ``values`` on the scale clipped at +-vmax.
 
-
-def color_of(value: float, vmax: float) -> str:
-    t = max(-1.0, min(1.0, value / vmax))
-    rgb = _lerp(_MID, _POS, t) if t >= 0 else _lerp(_MID, _NEG, -t)
-    return "#%02x%02x%02x" % rgb
+    Each channel is ``rint(mid + (end - mid) |t|)`` for ``t = v / vmax``
+    clipped to [-1, 1], with the red anchor for t >= 0 and the blue one
+    below; ``np.rint`` rounds half to even, as Python's ``round`` does.
+    """
+    t = np.clip(np.asarray(values, dtype=float) / vmax, -1.0, 1.0)[..., None]
+    mid = np.array(_MID, dtype=float)
+    end = np.where(t >= 0, np.array(_POS, dtype=float), np.array(_NEG, dtype=float))
+    rgb = np.rint(mid + (end - mid) * np.abs(t)).astype(np.int64)
+    code = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    return np.array(["#%06x" % c for c in code.ravel().tolist()]).reshape(code.shape)
 
 
 def _fmt(v: float) -> str:
@@ -83,11 +88,11 @@ def emit_svg_heatmap(h: Heatmap, path) -> None:
         parts.append(
             f'<text x="{margin_l + plot_w / 2:.1f}" y="16" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{h.title}</text>')
+    colors = colors_of(h.values, h.vmax)
     for i in range(ny):
-        for j in range(nx):
+        y = margin_t + (ny - 1 - i) * cell   # row 0 at the bottom
+        for j, c in enumerate(colors[i].tolist()):
             x = margin_l + j * cell
-            y = margin_t + (ny - 1 - i) * cell   # row 0 at the bottom
-            c = color_of(h.values[i, j], h.vmax)
             parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{c}"/>')
     # axes ticks: ends and midpoints
     for frac in (0.0, 0.5, 1.0):
@@ -106,11 +111,11 @@ def emit_svg_heatmap(h: Heatmap, path) -> None:
     # color bar
     bar_x = margin_l + plot_w + 14
     steps = 64
-    for s in range(steps):
-        v = h.vmax * (1 - 2 * (s + 0.5) / steps)
+    bar = colors_of([h.vmax * (1 - 2 * (s + 0.5) / steps) for s in range(steps)], h.vmax)
+    for s, c in enumerate(bar.tolist()):
         y = margin_t + plot_h * s / steps
         parts.append(f'<rect x="{bar_x}" y="{y:.2f}" width="14" '
-                     f'height="{plot_h / steps + 0.5:.2f}" fill="{color_of(v, h.vmax)}"/>')
+                     f'height="{plot_h / steps + 0.5:.2f}" fill="{c}"/>')
     for frac, label in ((0.0, _fmt(h.vmax)), (0.5, "0"), (1.0, _fmt(-h.vmax))):
         y = margin_t + frac * plot_h
         parts.append(f'<text x="{bar_x + 18}" y="{y + 3:.1f}" font-family="sans-serif" '

@@ -36,6 +36,7 @@ from .rng import make_rng
 from .transfer import HolderPair, TransferReport, catalog_coefficient
 
 DEFAULT_SHIFT_EXPONENT = 10  # degree of the fixed-parameter loss polynomial
+POPULATION_BLOCK = 8192      # prompts drawn and evaluated at a time by population_loss
 
 
 class TrainingDivergedError(RuntimeError):
@@ -182,7 +183,9 @@ def _batch_predictions(X, xq, W, params: LSAParams):
 
         r^T (E E^T) v = sum_m (r . c_m)(c_m . v) + (r . x_tilde)(x_tilde . v).
 
-    Neither E E^T nor the stacked columns are formed.  Returns
+    Neither E E^T nor the stacked columns are formed, and the products with
+    r and W_KQ go through ``dist.rowwise_matmul``, so a prompt's prediction
+    has the same bits in a batch of any size.  Returns
     (yhat, targets, y, rc, cv, rx, xv): the labels y_m, the projections
     r . c_m and c_m . v, and r . x_tilde, x_tilde . v, which the gradient
     reuses.
@@ -190,10 +193,10 @@ def _batch_predictions(X, xq, W, params: LSAParams):
     batch, N, n = X.shape
     r = params.w_pv[-1]
     y = np.einsum("bni,bi->bn", X, W)
-    vq = xq @ params.w_kq[:, :n].T                        # W_KQ x_tilde
-    rc = (X.reshape(-1, n) @ r[:n]).reshape(batch, N) + y * r[n]
+    vq = dist.rowwise_matmul(xq, params.w_kq[:, :n].T)    # W_KQ x_tilde
+    rc = dist.rowwise_matmul(X, r[:n, None])[..., 0] + y * r[n]
     cv = np.einsum("bni,bi->bn", X, vq[:, :n]) + y * vq[:, n:]
-    rx = xq @ r[:n]
+    rx = dist.rowwise_matmul(xq, r[:n, None])[:, 0]
     xv = np.einsum("bi,bi->b", xq, vq[:, :n])
     yhat = (np.einsum("bm,bm->b", rc, cv) + rx * xv) / params.rho
     targets = np.einsum("bi,bi->b", W, xq)
@@ -202,10 +205,23 @@ def _batch_predictions(X, xq, W, params: LSAParams):
 
 def population_loss(pd: PromptDistribution, params: LSAParams,
                     mc: McSpec) -> McEstimate:
-    """Monte Carlo estimate of E[(yhat_query - w . x_query)^2]."""
-    X, xq, W = _sample_batch(pd, mc.n_samples, mc.seed, 0)
-    yhat, targets = _batch_predictions(X, xq, W, params)[:2]
-    return mean_and_stderr((yhat - targets) ** 2)
+    """Monte Carlo estimate of E[(yhat_query - w . x_query)^2].
+
+    The prompts of ``_sample_batch(pd, mc.n_samples, mc.seed, 0)`` are
+    drawn and evaluated ``POPULATION_BLOCK`` at a time, so memory stays
+    bounded and the estimate has the bits of one whole batch.
+    """
+    n, N, m = pd.dim, pd.length, mc.n_samples
+    sq = np.empty(m)
+    start = 0
+    for X, xq, W in zip(pd.p_x.blocks(m * N, mc.seed, 0, POPULATION_BLOCK * N),
+                        pd.p_x_query.blocks(m, mc.seed, 1, POPULATION_BLOCK),
+                        pd.p_h.blocks(m, mc.seed, 2, POPULATION_BLOCK)):
+        b = xq.shape[0]
+        yhat, targets = _batch_predictions(X.reshape(b, N, n), xq, W, params)[:2]
+        sq[start:start + b] = (yhat - targets) ** 2
+        start += b
+    return mean_and_stderr(sq)
 
 
 def _gram_times(X, y, xq, proj, proj_x):

@@ -124,9 +124,15 @@ def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
-    m = m.copy()
-    acc_w = [np.zeros_like(w) for w in m.weights]
-    acc_b = [np.zeros_like(b) for b in m.biases]
+    # the returned model's weights and biases are views into one flat
+    # vector laid out as the gradient concatenation, so one update covers
+    # every layer
+    params = m.weights + m.biases
+    theta = np.concatenate([p.ravel() for p in params])
+    views = [v.reshape(p.shape) for v, p in
+             zip(np.split(theta, np.cumsum([p.size for p in params])[:-1]), params)]
+    m = MLP(m.sizes, m.activation, views[:len(m.weights)], views[len(m.weights):])
+    acc = np.zeros_like(theta)
     trace = []
     n = X.shape[0]
     for epoch in range(epochs):
@@ -138,11 +144,9 @@ def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
             if not math.isfinite(loss) or loss > divergence:
                 raise DivergenceError(f"loss {loss} at epoch {epoch}")
             epoch_losses.append(loss)
-            for i in range(len(m.weights)):
-                acc_w[i] += gw[i] ** 2
-                acc_b[i] += gb[i] ** 2
-                m.weights[i] -= rate * gw[i] / np.sqrt(acc_w[i] + eps)
-                m.biases[i] -= rate * gb[i] / np.sqrt(acc_b[i] + eps)
+            g = np.concatenate([d.ravel() for d in gw + gb])
+            acc += g ** 2
+            theta -= rate * g / np.sqrt(acc + eps)
         trace.append(float(np.mean(epoch_losses)))
     return m, trace
 

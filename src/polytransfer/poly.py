@@ -325,23 +325,22 @@ def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
     """Sample mean and standard error of g under the density.
 
     ``g`` may be vectorized over an (m, dim) array or accept single points.
-    Deterministic given the seed and ``chunks``.  ``chunks > 1`` draws chunk
-    i from generator stream i + 1 and pools the draws, so the estimate
-    depends on ``chunks``.  For ``chunks >= 18`` on a 2-D ``Product`` those
-    streams alias the factor streams (``Product.sample(stream=1)`` column 1
-    equals ``Product.sample(stream=18)`` column 0) and draws repeat.
-    Non-finite values abort with the offending point.
+    Deterministic given the seed.  The draws ``density.sample(mc.n_samples,
+    mc.seed)`` are evaluated in ``chunks`` blocks of one stream, so
+    ``chunks`` bounds the points held at once and leaves the estimate
+    unchanged bit for bit (for a ``g`` that evaluates each point on its
+    own).  The stream offsets inside ``Product.sample`` still alias across
+    streams 17 apart (``Product.sample(stream=1)`` column 1 equals
+    ``Product.sample(stream=18)`` column 0), but every chunk now reads
+    stream 0.  Non-finite values abort with the offending point.
     """
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    if chunks == 1:
-        v = _eval_batch(g, density.sample(mc.n_samples, mc.seed))
-    else:
-        sizes = [mc.n_samples // chunks] * chunks
-        sizes[-1] += mc.n_samples - sum(sizes)
-        parts = [_eval_batch(g, density.sample(size, mc.seed, stream=i + 1))
-                 for i, size in enumerate(sizes) if size > 0]
-        v = np.concatenate(parts)
+    v = np.empty(mc.n_samples)
+    start = 0
+    for x in density.blocks(mc.n_samples, mc.seed, 0, -(-mc.n_samples // chunks)):
+        v[start:start + x.shape[0]] = _eval_batch(g, x)
+        start += x.shape[0]
     return mean_and_stderr(v)
 
 

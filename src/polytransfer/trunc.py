@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dist
-from .mc import McSpec
+from .mc import McEstimate, McSpec, mean_and_stderr
 from .transfer import HolderPair, TransferReport
 
 EXACT_MASS_FLOOR = 1e-6
@@ -121,30 +121,43 @@ def sample_truncated_normal(mean: float, var: float, s: dist.TruncationSet,
 
 
 def _per_location_expected_sq(mu: float, c: float, s: dist.TruncationSet,
-                              mc: McSpec | None) -> float:
-    """E[(y - c)^2] for y ~ N(mu, 1) conditioned on s."""
+                              mc: McSpec | None) -> McEstimate:
+    """E[(y - c)^2] for y ~ N(mu, 1) conditioned on s; exact (stderr 0) for
+    interval-reducible sets, else the mean of sampled squares."""
     intervals = _intervals_of(s)
     if intervals is not None:
         m0, m1, m2 = truncated_normal_moments(mu, intervals)
         if m0 < EXACT_MASS_FLOOR:
             raise MassTooSmallError(f"truncation mass {m0:.3g} below {EXACT_MASS_FLOOR}")
-        return (m2 - 2.0 * c * m1 + c * c * m0) / m0
+        return McEstimate((m2 - 2.0 * c * m1 + c * c * m0) / m0, 0.0)
     if mc is None:
         raise ValueError("general truncation sets need a Monte Carlo budget")
     mass = float(dist.gaussian_mass([mu], [[1.0]], s))
     if mass < MC_MASS_FLOOR:
         raise MassTooSmallError(f"truncation mass {mass:.3g} below {MC_MASS_FLOOR}")
     y = sample_truncated_normal(mu, 1.0, s, mc.n_samples, mc.seed)
-    return float(np.mean((y - c) ** 2))
+    return mean_and_stderr((y - c) ** 2)
+
+
+def _truncated_mse_estimate(model, inst: TruncatedRegressionInstance,
+                            mc: McSpec | None) -> McEstimate:
+    """``truncated_mse`` with its standard error.
+
+    Every location draws with the same seed, so the per-location errors are
+    dependent; the mean of their standard errors bounds the standard error
+    of the average (triangle inequality) whatever the dependence.
+    """
+    preds = np.array([float(model(x)) for x in inst.covariates])
+    ests = [_per_location_expected_sq(mu, c, inst.trunc_set, mc)
+            for mu, c in zip(inst.locations, preds)]
+    return McEstimate(float(np.mean([e.value for e in ests])),
+                      float(np.mean([e.stderr for e in ests])))
 
 
 def truncated_mse(model, inst: TruncatedRegressionInstance,
                   mc: McSpec | None = None) -> float:
     """(1/N) sum_i E_{y ~ N_S(f*(x_i), 1)} [(y - model(x_i))^2]."""
-    preds = np.array([float(model(x)) for x in inst.covariates])
-    vals = [_per_location_expected_sq(mu, c, inst.trunc_set, mc)
-            for mu, c in zip(inst.locations, preds)]
-    return float(np.mean(vals))
+    return _truncated_mse_estimate(model, inst, mc).value
 
 
 def full_mse(model, inst: TruncatedRegressionInstance,
@@ -210,18 +223,18 @@ def truncated_transfer_check(model, inst: TruncatedRegressionInstance,
     floor = EXACT_MASS_FLOOR if _intervals_of(inst.trunc_set) is not None else MC_MASS_FLOOR
     if alpha < max(floor, 1e-3):
         raise MassTooSmallError(f"alpha = {alpha:.3g} below the usable floor")
-    t_mse = truncated_mse(model, inst, mc)
-    f_mse = full_mse(model, inst, mc)
+    t_est = _truncated_mse_estimate(model, inst, mc)
+    t_mse, t_se = t_est.value, t_est.stderr
+    f_mse = full_mse(model, inst, mc)   # exact: standard error 0
     holder = HolderPair(math.inf, 1.0)
-    se = 0.0 if mc is None else f_mse / math.sqrt(mc.n_samples)
     coeff_fwd = constant / alpha ** 2
     forward = TransferReport(
         kind="truncated-forward", degree=2, holder=holder, constant=constant,
         bridge="target-is-log-concave", coefficient=coeff_fwd,
-        lhs=f_mse, lhs_se=se, rhs=coeff_fwd * t_mse, rhs_se=coeff_fwd * se)
+        lhs=f_mse, lhs_se=0.0, rhs=coeff_fwd * t_mse, rhs_se=coeff_fwd * t_se)
     coeff_rev = 1.0 / alpha
     reverse = TransferReport(
         kind="truncated-reverse", degree=2, holder=holder, constant=1.0,
         bridge="change-of-measure", coefficient=coeff_rev,
-        lhs=t_mse, lhs_se=se, rhs=coeff_rev * f_mse, rhs_se=coeff_rev * se)
+        lhs=t_mse, lhs_se=t_se, rhs=coeff_rev * f_mse, rhs_se=0.0)
     return TruncatedTransferResult(alpha, t_mse, f_mse, forward, reverse)

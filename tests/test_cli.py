@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import polytransfer
-from polytransfer import cli
+from polytransfer import cli, heatmap
 from polytransfer.heatmap import Heatmap, emit_svg_heatmap, grid_eval
 
 
@@ -62,7 +62,40 @@ class TestMain:
         assert cli.main([]) == 2
 
 
+def color_of_per_cell(value, vmax):
+    """The per-cell color mapping that the vectorized one replaced."""
+    mid, pos, neg = (247, 247, 247), (178, 24, 43), (33, 102, 172)
+    t = max(-1.0, min(1.0, value / vmax))
+    end, s = (pos, t) if t >= 0 else (neg, -t)
+    return "#%02x%02x%02x" % tuple(int(round(mid[i] + (end[i] - mid[i]) * s))
+                                   for i in range(3))
+
+
 class TestHeatmapSvg:
+    def test_colors_match_per_cell_mapping(self):
+        vmax = 1.7
+        diffs = [abs(e - m) for end in ((178, 24, 43), (33, 102, 172))
+                 for e, m in zip(end, (247, 247, 247))]
+        # t values where some channel lands on a half: round-half-even ties
+        ties = [(j + 0.5) / d for d in diffs for j in range(d)]
+        values = np.concatenate([
+            np.arange(-120_000, 120_001) * 1e-5 * vmax,
+            vmax * np.array(ties), -vmax * np.array(ties),
+            [vmax, -vmax, 2 * vmax, -2 * vmax, 0.0, -0.0]])
+        got = heatmap.colors_of(values, vmax).tolist()
+        assert got == [color_of_per_cell(v, vmax) for v in values.tolist()]
+
+    def test_svg_bytes_equal_per_cell_path(self, tmp_path, monkeypatch):
+        vals = np.random.default_rng(3).normal(size=(40, 30))
+        vals[0, :4] = [0.0, -0.0, 1.5, -1.5]
+        h = Heatmap(-5, 5, -5, 5, vals, vmax=1.5, title="demo")
+        emit_svg_heatmap(h, tmp_path / "fast.svg")
+        per_cell = np.vectorize(color_of_per_cell, otypes=[object])
+        monkeypatch.setattr(heatmap, "colors_of",
+                            lambda values, vmax: per_cell(np.asarray(values, dtype=float), vmax))
+        emit_svg_heatmap(h, tmp_path / "slow.svg")
+        assert (tmp_path / "fast.svg").read_bytes() == (tmp_path / "slow.svg").read_bytes()
+
     def test_constant_grid_single_color(self, tmp_path):
         h = Heatmap(0, 1, 0, 1, np.full((4, 4), 0.5), vmax=1.0)
         path = tmp_path / "h.svg"

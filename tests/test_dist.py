@@ -192,6 +192,53 @@ class TestSampling:
         assert s[:, 0].mean() == pytest.approx(m0, abs=0.02)
 
 
+SPD3 = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.5]])
+BLOCK_DENSITIES = {
+    "gaussian-1d": dist.Gaussian([0.4], [[2.5]]),
+    "gaussian-3d": dist.Gaussian([1.0, -2.0, 0.5], SPD3),
+    "uniform-box": dist.UniformBox([0.0, -1.0], [1.0, 3.0]),
+    "product-2d": dist.Product([dist.Gaussian([0.0], [[1.0]]),
+                                dist.UniformBox([-1.0], [1.0])]),
+    "truncated": dist.TruncatedGaussian([0.0], [[1.0]], dist.IntervalUnion(((0.5, 2.0),))),
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("name", sorted(BLOCK_DENSITIES))
+    @given(n=st.integers(0, 400), size=st.integers(1, 500),
+           seed=st.integers(0, 2 ** 32 - 1), stream=st.integers(0, 2 ** 20))
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_concatenate_to_sample(self, name, n, size, seed, stream):
+        d = BLOCK_DENSITIES[name]
+        blocks = list(d.blocks(n, seed, stream, size))
+        assert [b.shape[0] for b in blocks] == [min(size, n - s) for s in range(0, n, size)]
+        got = np.concatenate(blocks) if blocks else np.empty((0, d.dim))
+        assert got.tobytes() == d.sample(n, seed, stream).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_DENSITIES))
+    def test_block_size_must_be_positive(self, name):
+        with pytest.raises(ValueError):
+            BLOCK_DENSITIES[name].blocks(10, 0, 0, 0)
+
+    def test_correlated_sample_is_the_cholesky_map(self):
+        g = BLOCK_DENSITIES["gaussian-3d"]
+        z = make_rng(4, 2).standard_normal((500, 3))
+        np.testing.assert_allclose(g.sample(500, 4, 2), g.mean + z @ g._chol.T,
+                                   rtol=1e-14, atol=1e-14)
+
+    @given(rows=st.integers(1, 40), k=st.integers(1, 9), cols=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rowwise_matmul_rows_do_not_depend_on_row_count(self, rows, k, cols, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, k))
+        m = rng.standard_normal((k, cols))
+        whole = dist.rowwise_matmul(a, m)
+        np.testing.assert_allclose(whole, a @ m, rtol=1e-12, atol=1e-12)
+        for i in range(rows):
+            assert dist.rowwise_matmul(a[i:i + 1], m).tobytes() == whole[i:i + 1].tobytes()
+
+
 class TestRatioSup:
     def test_identical_densities(self):
         g = dist.Gaussian([0.0], [[1.0]])

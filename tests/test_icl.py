@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polytransfer import dist, icl, poly
-from polytransfer.mc import McEstimate, McSpec
+from polytransfer.mc import McEstimate, McSpec, mean_and_stderr
 
 
 def random_params(n, rho, seed, scale=0.5):
@@ -131,6 +131,35 @@ class TestPopulationLoss:
         perm = np.concatenate([np.random.default_rng(0).permutation(6), [6]])
         shuffled = pm.embedding[:, perm]
         assert icl.predict_query(shuffled, params) == pytest.approx(base, rel=1e-12)
+
+
+class TestPopulationLossBlocks:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_bits_do_not_depend_on_block_size(self, n, length, monkeypatch):
+        pd = icl.PromptDistribution.gaussian(n, length)
+        params = random_params(n, float(length), 2)
+        mc = McSpec(2500, 3)
+        # the reference evaluates the whole batch at once
+        X, xq, W = icl._sample_batch(pd, mc.n_samples, mc.seed, 0)
+        yhat, targets = icl._batch_predictions(X, xq, W, params)[:2]
+        whole = mean_and_stderr((yhat - targets) ** 2)
+        for block in (1, 7, 1000, mc.n_samples):
+            monkeypatch.setattr(icl, "POPULATION_BLOCK", block)
+            assert icl.population_loss(pd, params, mc) == whole
+
+    def test_peak_memory_is_bounded(self):
+        import tracemalloc
+
+        pd = icl.PromptDistribution.gaussian(1, 20)
+        params = random_params(1, 20.0, 0)
+        tracemalloc.start()
+        try:
+            icl.population_loss(pd, params, McSpec(200_000, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20   # one whole batch took ~159 MiB
 
 
 class TestTraining:

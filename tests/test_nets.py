@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polytransfer import nets
+from polytransfer.rng import make_rng
 
 
 class TestForward:
@@ -109,6 +110,62 @@ class TestAdagrad:
         m = nets.mlp_init((2, 4, 1), nets.RELU, seed=0)
         with pytest.raises(ValueError):
             nets.train_adagrad(m, np.zeros((0, 2)), np.zeros(0), 1, 0.1)
+
+
+def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64,
+                      eps=nets.ADAGRAD_EPS, divergence=1e8):
+    """The per-layer AdaGrad loop that the flat-buffer update replaced."""
+    m = m.copy()
+    acc_w = [np.zeros_like(w) for w in m.weights]
+    acc_b = [np.zeros_like(b) for b in m.biases]
+    trace = []
+    n = X.shape[0]
+    for epoch in range(epochs):
+        order = make_rng(seed, stream=epoch + 1).permutation(n)
+        epoch_losses = []
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            loss, gw, gb = nets.backprop(m, X[idx], y[idx])
+            if not math.isfinite(loss) or loss > divergence:
+                raise nets.DivergenceError(f"loss {loss} at epoch {epoch}")
+            epoch_losses.append(loss)
+            for i in range(len(m.weights)):
+                acc_w[i] += gw[i] ** 2
+                acc_b[i] += gb[i] ** 2
+                m.weights[i] -= rate * gw[i] / np.sqrt(acc_w[i] + eps)
+                m.biases[i] -= rate * gb[i] / np.sqrt(acc_b[i] + eps)
+        trace.append(float(np.mean(epoch_losses)))
+    return m, trace
+
+
+class TestFlatAdagrad:
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1, 1, size=(300, 2))
+        return X, np.sin(3 * X[:, 0]) * X[:, 1]
+
+    @pytest.mark.parametrize("activation, scale", [(nets.RELU, 1.0), (nets.POLY, 0.5)])
+    def test_matches_per_layer_loop(self, activation, scale):
+        X, y = self.data()
+        m = nets.mlp_init(nets.DEFAULT_SIZES, activation, seed=12, init_scale=scale)
+        before = m.copy()
+        got, got_trace = nets.train_adagrad(m, X, y, epochs=4, rate=0.02, seed=13)
+        ref, ref_trace = adagrad_per_layer(m, X, y, epochs=4, rate=0.02, seed=13)
+        assert got_trace == ref_trace
+        for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(m.weights + m.biases, before.weights + before.biases):
+            assert a.tobytes() == b.tobytes()   # the input model is not updated
+
+    def test_divergence_still_raised(self):
+        X, y = self.data()
+        m = nets.mlp_init(nets.DEFAULT_SIZES, nets.POLY, seed=12, init_scale=0.5)
+        with pytest.raises(nets.DivergenceError) as got:
+            nets.train_adagrad(m, X, y, epochs=20, rate=1.0, seed=13, divergence=1e3)
+        with pytest.raises(nets.DivergenceError) as ref:
+            adagrad_per_layer(m, X, y, epochs=20, rate=1.0, seed=13, divergence=1e3)
+        assert str(got.value) == str(ref.value)
 
 
 class TestCheckpoint:

@@ -153,6 +153,16 @@ class TestMcFunctional:
         assert split_a.value == pytest.approx(whole.value,
                                               abs=3 * (whole.stderr + split_a.stderr))
 
+    @given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_chunks_leave_the_product_estimate_unchanged(self, n, seed):
+        # chunk i used to read stream i + 1, which at chunks >= 18 aliased the
+        # product's factor streams (stream + 17 (i + 1)) and repeated draws
+        d = dist.Product([dist.Gaussian([0.0], [[1.0]]), dist.Gaussian([0.0], [[1.0]])])
+        fn = lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1]
+        ests = [poly.mc_functional(fn, d, McSpec(n, seed), chunks=k) for k in (1, 4, 18, 20)]
+        assert all(e == ests[0] for e in ests[1:])
+
     def test_stderr_scales_as_inverse_sqrt_n(self):
         g = dist.Gaussian([0.0], [[1.0]])
         ns = [1000, 10_000, 100_000]

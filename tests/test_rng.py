@@ -43,3 +43,16 @@ def test_out_of_range_stream_rejected(stream):
 def test_non_integer_stream_rejected():
     with pytest.raises(TypeError):
         make_rng(0, 1.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 20),
+       sizes=st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       dim=st.integers(1, 3))
+def test_successive_draws_continue_one_draw(seed, stream, sizes, dim):
+    # the streaming samplers in dist rely on this prefix property
+    for method in ("standard_normal", "random"):
+        rng = make_rng(seed, stream)
+        parts = [getattr(rng, method)((m, dim)) for m in sizes]
+        whole = getattr(make_rng(seed, stream), method)((sum(sizes), dim))
+        assert np.concatenate(parts).tobytes() == whole.tobytes()

@@ -217,3 +217,37 @@ class TestTransferCheck:
         assert res_a.forward.coefficient / res_a.alpha ** -2 == \
             pytest.approx(res_b.forward.coefficient / res_b.alpha ** -2, rel=1e-9)
         assert res_a.truncated != pytest.approx(res_b.truncated, rel=1e-3)
+
+
+class AbsAtLeastHalf(dist.TruncationSet):
+    """{y : |y| >= 1/2}: not reducible to intervals, so sampled."""
+
+    def contains(self, x):
+        return np.abs(np.asarray(x, dtype=float).reshape(-1)) >= 0.5
+
+
+class TestTransferCheckStandardErrors:
+    def test_general_set_stderr_comes_from_the_sampled_squares(self):
+        inst = one_point_instance(0.0, AbsAtLeastHalf())
+        mass = 2 * norm.sf(0.5)
+        exact = (1.0 - quad(lambda y: y * y * norm.pdf(y), -0.5, 0.5)[0]) / mass
+        res = {}
+        for seed in (3, 4):
+            r = trunc.truncated_transfer_check(lambda x: 0.0, inst, mc=McSpec(10_000, seed))
+            y = trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 10_000, seed)
+            assert r.forward.lhs_se == 0.0 and r.reverse.rhs_se == 0.0  # full MSE is exact
+            assert r.reverse.lhs_se == pytest.approx(np.std(y ** 2, ddof=1) / 100.0, rel=1e-12)
+            assert r.forward.rhs_se == pytest.approx(r.forward.coefficient * r.reverse.lhs_se,
+                                                     rel=1e-12)
+            assert abs(r.truncated - exact) < 4.0 * r.reverse.lhs_se
+            res[seed] = r
+        gap = abs(res[3].truncated - res[4].truncated)
+        assert gap < 3.0 * math.hypot(res[3].reverse.lhs_se, res[4].reverse.lhs_se)
+
+    def test_interval_set_is_exact_with_or_without_a_budget(self):
+        inst = one_point_instance(0.0, HALF_LINE)
+        exact = trunc.truncated_transfer_check(lambda x: 0.3, inst)
+        budget = trunc.truncated_transfer_check(lambda x: 0.3, inst, mc=McSpec(10_000, 1))
+        assert budget == exact
+        for rep in (budget.forward, budget.reverse):
+            assert rep.lhs_se == 0.0 and rep.rhs_se == 0.0
