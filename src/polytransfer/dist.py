@@ -215,10 +215,8 @@ class Gaussian(Density):
             self._chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as e:
             raise NotSPDError("covariance must be positive definite") from e
-        diag = np.diag(self._chol)
-        self._diag = diag if np.array_equal(self._chol, np.diag(diag)) else None
         self._log_norm = -0.5 * self.dim * math.log(2 * math.pi) - float(
-            np.sum(np.log(diag))
+            np.sum(np.log(np.diag(self._chol)))
         )
         self.label = f"gaussian(dim={self.dim})"
 
@@ -232,17 +230,13 @@ class Gaussian(Density):
     def pdf(self, x):
         return _maybe_scalar(np.exp(self.log_pdf(x)), x)
 
-    def _from_standard(self, z):
-        if self._diag is not None:   # the matmul's bits: every other term is 0
-            return self.mean + z * self._diag
-        return self.mean + rowwise_matmul(z, self._chol.T)
-
     def sample(self, n, seed, stream=0):
-        return self._from_standard(make_rng(seed, stream).standard_normal((n, self.dim)))
+        z = make_rng(seed, stream).standard_normal((n, self.dim))
+        return self.mean + rowwise_matmul(z, self._chol.T)
 
     def blocks(self, n, seed, stream, size):
         rng = make_rng(seed, stream)
-        return (self._from_standard(rng.standard_normal((m, self.dim)))
+        return (self.mean + rowwise_matmul(rng.standard_normal((m, self.dim)), self._chol.T)
                 for m in _block_sizes(n, size))
 
     def bounding_box(self, k_sigma=8.0):

@@ -327,9 +327,11 @@ def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
     ``g`` may be vectorized over an (m, dim) array or accept single points.
     Deterministic given the seed.  The draws ``density.sample(mc.n_samples,
     mc.seed)`` are evaluated in ``chunks`` blocks of one stream, so
-    ``chunks`` bounds the points held at once and leaves the estimate
-    unchanged bit for bit (for a ``g`` that evaluates each point on its
-    own).  The stream offsets inside ``Product.sample`` still alias across
+    ``chunks`` leaves the estimate unchanged bit for bit (for a ``g`` that
+    evaluates each point on its own).  It bounds the points held at once
+    only for ``Gaussian``, ``UniformBox`` and their products; the other
+    densities draw the full sample first and hand it out in slices.  The
+    stream offsets inside ``Product.sample`` still alias across
     streams 17 apart (``Product.sample(stream=1)`` column 1 equals
     ``Product.sample(stream=18)`` column 0), but every chunk now reads
     stream 0.  Non-finite values abort with the offending point.
