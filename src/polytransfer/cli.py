@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .mc import McSpec, mean_and_stderr
-from .rng import make_rng
+from .rng import Tag, make_rng, replicate_seed
 
 
 class ConfigError(ValueError):
@@ -204,21 +204,16 @@ def _plot_values(model, pts, cap: float = 1e12):
 
 def _band_sampler(outer_lo, outer_hi, inner_lo, inner_hi):
     """Uniform on the outer box minus the inner box, by rejection."""
-    outer_lo = np.asarray(outer_lo, dtype=float)
-    outer_hi = np.asarray(outer_hi, dtype=float)
-    inner_lo = np.asarray(inner_lo, dtype=float)
-    inner_hi = np.asarray(inner_hi, dtype=float)
+    from . import dist
+
+    outer, inner = dist.UniformBox(outer_lo, outer_hi), dist.BoxSet(inner_lo, inner_hi)
 
     def sampler(n, seed):
-        rng = make_rng(seed, stream=7)
-        out = []
-        have = 0
+        out, have = [], 0
         while have < n:
-            pts = outer_lo + rng.random((2 * n, 2)) * (outer_hi - outer_lo)
-            inside = np.all((pts >= inner_lo) & (pts <= inner_hi), axis=1)
-            keep = pts[~inside]
-            out.append(keep)
-            have += keep.shape[0]
+            pts = outer.sample(2 * n, seed, (Tag.BAND, Tag.ATTEMPT, len(out)))
+            out.append(pts[~inner.contains(pts)])
+            have += out[-1].shape[0]
         return np.concatenate(out)[:n]
 
     return sampler
@@ -262,21 +257,29 @@ def run_figure(cfg: dict, out_dir: Path, *, prefix: str, f_star, seen_lo, seen_h
     y = f_star(X)
     noise = cfg.get(f"{prefix}.noise", 0.0)
     if noise:
-        y = y + noise * make_rng(seed, stream=3).standard_normal(y.size)
+        y = y + noise * make_rng(seed, Tag.NOISE).standard_normal(y.size)
 
     fit = fit_extrapolating_poly(X, y, degree, seen_lo, seen_hi, band_lo, band_hi,
                                  ridge=cfg[f"{prefix}.ridge"],
                                  band_penalty=cfg[f"{prefix}.band_penalty"])
-    relu = nets.mlp_init(activation=nets.RELU, seed=seed)
-    relu, _ = nets.train_adagrad(relu, X, y, epochs=cfg[f"{prefix}.epochs"],
-                                 rate=cfg[f"{prefix}.rate"], seed=seed)
+
+    def train(name, m, epochs, rate):
+        try:
+            return nets.train_adagrad(m, X, y, epochs=epochs, rate=rate, seed=seed)[0]
+        except nets.DivergenceError as e:
+            print(f"{prefix}: {name} diverged (seed {seed}): {e}; "
+                  "evaluating the weights of that batch", file=sys.stderr)
+            return e.model
+
+    relu = train("relu_net", nets.mlp_init(activation=nets.RELU, seed=seed, path=(Tag.INIT, 0)),
+                 cfg[f"{prefix}.epochs"], cfg[f"{prefix}.rate"])
     models = {"f_star": f_star, "poly20": fit.poly.eval,
               "relu_net": lambda pts: nets.forward(relu, pts)}
     if with_poly_net:
-        pnet = nets.mlp_init(activation=nets.POLY, seed=seed,
-                             init_scale=cfg[f"{prefix}.poly_init_scale"])
-        pnet, _ = nets.train_adagrad(pnet, X, y, epochs=cfg[f"{prefix}.poly_epochs"],
-                                     rate=cfg[f"{prefix}.poly_rate"], seed=seed)
+        pnet = train("poly_net",
+                     nets.mlp_init(activation=nets.POLY, seed=seed, path=(Tag.INIT, 1),
+                                   init_scale=cfg[f"{prefix}.poly_init_scale"]),
+                     cfg[f"{prefix}.poly_epochs"], cfg[f"{prefix}.poly_rate"])
         models["poly_net"] = lambda pts: nets.forward(pnet, pts)
 
     # heatmaps over [-5, 5]^2 on a shared color range
@@ -287,9 +290,9 @@ def run_figure(cfg: dict, out_dir: Path, *, prefix: str, f_star, seen_lo, seen_h
         hm.title = name
         emit_svg_heatmap(hm, out_dir / f"heatmap_{name}.svg")
 
-    seen_sampler = lambda n, s: dist.UniformBox(seen_lo, seen_hi).sample(n, s, stream=5)
+    seen_sampler = lambda n, s: dist.UniformBox(seen_lo, seen_hi).sample(n, s, (Tag.SEEN,))
     band_sampler = _band_sampler(band_lo, band_hi, seen_lo, seen_hi)
-    full_sampler = lambda n, s: dist.UniformBox([-5, -5], [5, 5]).sample(n, s, stream=6)
+    full_sampler = lambda n, s: dist.UniformBox([-5, -5], [5, 5]).sample(n, s, (Tag.FULL,))
     regions = {"seen": seen_sampler, "band": band_sampler, "full": full_sampler}
     rows = []
     for model_name, model in models.items():
@@ -428,14 +431,13 @@ def run_gotu(cfg: dict, out_dir: Path) -> int:
     for n_i in (int(v) for v in cfg["gotu.scaling_ns"]):
         t_targ = gotu.LinearTarget(0.0, np.ones(n_i))
         for s in range(cfg["gotu.scaling_seeds"]):
-            net_i = gotu.init_weights(n_i, depth, cfg["gotu.scaling_alpha"],
-                                      cfg["seed"] + 1000 + s)
+            seed_s = replicate_seed(cfg["seed"], s)
+            net_i = gotu.init_weights(n_i, depth, cfg["gotu.scaling_alpha"], seed_s)
             _, tr = gotu.gradient_flow(net_i, t_targ, k, step=cfg["gotu.step"],
                                        horizon=cfg["gotu.scaling_horizon"],
                                        record_every=5)
             ts = gotu.critical_time(tr, c0)
-            scaling_rows.append([n_i, depth, cfg["gotu.scaling_alpha"],
-                                 cfg["seed"] + 1000 + s,
+            scaling_rows.append([n_i, depth, cfg["gotu.scaling_alpha"], seed_s,
                                  ts if ts is not None else "none"])
     write_csv(out_dir / "summary.csv", summary_header, summary + scaling_rows)
     return 0
@@ -458,7 +460,7 @@ def run_icl_shift(cfg: dict, out_dir: Path) -> int:
         targets.append(icl.PromptDistribution(
             source.p_x, source.p_x_query, dist.Gaussian(mean, np.eye(n)), length))
     reports = icl.shift_reports(params, source, targets, "task",
-                                McSpec(cfg["icl.mc"], cfg["seed"] + 1),
+                                McSpec(cfg["icl.mc"], cfg["seed"]),
                                 exponent=cfg["icl.exponent"])
     for mu, rep in zip(cfg["icl.mus"], reports):
         rep.kind = f"icl-task[mu={mu:.4g}]"

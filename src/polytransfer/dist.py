@@ -8,11 +8,11 @@ Rényi divergences, Gaussian mass of truncation sets, and bridge construction.
 
 All densities are evaluable (``pdf``), samplable (``sample``), and carry a
 bounding box used as the default search region for ratio sups.  Sampling is
-deterministic given ``(seed, stream)``; see :mod:`polytransfer.rng`.
-``blocks(n, seed, stream, size)`` yields the same draws in row blocks of at
-most ``size``: the blocks concatenate to ``sample(n, seed, stream)`` bit for
-bit, and Gaussians, uniform boxes and their products hold one block at a
-time, so a Monte Carlo sum can stream n draws in bounded memory.
+deterministic given ``(seed, path)`` (:mod:`polytransfer.rng`); factor i of a
+product draws at ``path + (Tag.FACTOR, i)``, rejection round i at ``path +
+(Tag.ATTEMPT, i)``.  ``blocks(n, seed, path, size)`` yields row blocks of at
+most ``size`` that concatenate to ``sample(n, seed, path)`` bit for bit; Gaussians,
+uniform boxes and their products hold one block at a time (bounded memory).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mc import McEstimate, McSpec, mean_and_stderr
-from .rng import make_rng
+from .rng import Tag, make_rng
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -173,19 +173,19 @@ class Density:
     def pdf(self, x):
         raise NotImplementedError
 
-    def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    def sample(self, n: int, seed: int, path: tuple = ()) -> np.ndarray:
         raise NotImplementedError
 
-    def blocks(self, n: int, seed: int, stream: int, size: int):
+    def blocks(self, n: int, seed: int, path: tuple, size: int):
         """Successive row blocks of at most ``size`` rows that concatenate to
-        ``sample(n, seed, stream)`` bit for bit.
+        ``sample(n, seed, path)`` bit for bit.
 
         This default slices one full sample, which keeps the rejection and
         inverse-CDF samplers exact; densities that draw row by row override
         it to hold only one block.
         """
         sizes = _block_sizes(n, size)
-        full = self.sample(n, seed, stream)
+        full = self.sample(n, seed, path)
         return (full[i * size:i * size + m] for i, m in enumerate(sizes))
 
     def bounding_box(self, k_sigma: float = 8.0):
@@ -230,12 +230,12 @@ class Gaussian(Density):
     def pdf(self, x):
         return _maybe_scalar(np.exp(self.log_pdf(x)), x)
 
-    def sample(self, n, seed, stream=0):
-        z = make_rng(seed, stream).standard_normal((n, self.dim))
+    def sample(self, n, seed, path=()):
+        z = make_rng(seed, *path).standard_normal((n, self.dim))
         return self.mean + rowwise_matmul(z, self._chol.T)
 
-    def blocks(self, n, seed, stream, size):
-        rng = make_rng(seed, stream)
+    def blocks(self, n, seed, path, size):
+        rng = make_rng(seed, *path)
         return (self.mean + rowwise_matmul(rng.standard_normal((m, self.dim)), self._chol.T)
                 for m in _block_sizes(n, size))
 
@@ -263,11 +263,11 @@ class UniformBox(Density):
         inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
         return _maybe_scalar(np.where(inside, self._density, 0.0), x)
 
-    def sample(self, n, seed, stream=0):
-        return self.lo + make_rng(seed, stream).random((n, self.dim)) * (self.hi - self.lo)
+    def sample(self, n, seed, path=()):
+        return self.lo + make_rng(seed, *path).random((n, self.dim)) * (self.hi - self.lo)
 
-    def blocks(self, n, seed, stream, size):
-        rng = make_rng(seed, stream)
+    def blocks(self, n, seed, path, size):
+        rng = make_rng(seed, *path)
         return (self.lo + rng.random((m, self.dim)) * (self.hi - self.lo)
                 for m in _block_sizes(n, size))
 
@@ -293,12 +293,12 @@ class Product(Density):
             out *= np.asarray(f.pdf(pts[:, i]))
         return _maybe_scalar(out, x)
 
-    def sample(self, n, seed, stream=0):
-        cols = [f.sample(n, seed, stream + 17 * (i + 1))[:, 0] for i, f in enumerate(self.factors)]
-        return np.column_stack(cols)
+    def sample(self, n, seed, path=()):
+        return np.column_stack([f.sample(n, seed, (*path, Tag.FACTOR, i))[:, 0]
+                                for i, f in enumerate(self.factors)])
 
-    def blocks(self, n, seed, stream, size):
-        per_factor = [f.blocks(n, seed, stream + 17 * (i + 1), size)
+    def blocks(self, n, seed, path, size):
+        per_factor = [f.blocks(n, seed, (*path, Tag.FACTOR, i), size)
                       for i, f in enumerate(self.factors)]
         return (np.column_stack([b[:, 0] for b in cols]) for cols in zip(*per_factor))
 
@@ -332,35 +332,33 @@ class TruncatedGaussian(Density):
         inside = self.trunc_set.contains(pts)
         return _maybe_scalar(np.where(inside, vals / self.mass, 0.0), x)
 
-    def sample(self, n, seed, stream=0):
+    def sample(self, n, seed, path=()):
         if self.mass < REJECTION_FAILURE_ACCEPTANCE:
             raise RejectionBudgetError(
                 f"acceptance rate {self.mass:.3g} below {REJECTION_FAILURE_ACCEPTANCE}"
             )
         if self.mass < REJECTION_FALLBACK_ACCEPTANCE:
             if self.dim == 1 and isinstance(self.trunc_set, IntervalUnion):
-                return self._sample_inverse_cdf(n, seed, stream)
+                return self._sample_inverse_cdf(n, seed, path)
             raise RejectionBudgetError(
                 f"acceptance rate {self.mass:.3g} below {REJECTION_FALLBACK_ACCEPTANCE} "
                 "and no inverse-CDF fallback for this set"
             )
         out = np.empty((n, self.dim))
         filled = 0
-        attempt = 0
-        while filled < n:
+        for attempt in range(10_001):
+            if filled == n:
+                return out
             need = n - filled
             batch = max(64, int(1.5 * need / max(self.mass, 1e-12)))
-            draws = self.base.sample(batch, seed, stream + 1000 + attempt)
+            draws = self.base.sample(batch, seed, (*path, Tag.ATTEMPT, attempt))
             keep = draws[self.trunc_set.contains(draws)]
             take = min(need, keep.shape[0])
             out[filled:filled + take] = keep[:take]
             filled += take
-            attempt += 1
-            if attempt > 10_000:
-                raise RejectionBudgetError("rejection sampling budget exhausted")
-        return out
+        raise RejectionBudgetError("rejection sampling budget exhausted")
 
-    def _sample_inverse_cdf(self, n, seed, stream):
+    def _sample_inverse_cdf(self, n, seed, path):
         from scipy.special import ndtr, ndtri
 
         mu = float(self.base.mean[0])
@@ -370,7 +368,7 @@ class TruncatedGaussian(Density):
         cdf_hi = np.array([ndtr((b - mu) / sd) for _, b in ints])
         weights = cdf_hi - cdf_lo
         total = weights.sum()
-        rng = make_rng(seed, stream)
+        rng = make_rng(seed, *path)
         u = rng.random(n) * total
         idx = np.searchsorted(np.cumsum(weights), u, side="left")
         idx = np.clip(idx, 0, len(ints) - 1)
@@ -435,8 +433,8 @@ class GaussianBridge(Density):
         vals = np.asarray(self.base.pdf(shifted), dtype=float).reshape(-1) / self.z_const
         return _maybe_scalar(vals, x)
 
-    def sample(self, n, seed, stream=0):
-        rng = make_rng(seed, stream)
+    def sample(self, n, seed, path=()):
+        rng = make_rng(seed, *path)
         z = rng.standard_normal((n, self.dim)) @ self.base._chol.T
         c = (z @ self._prec[0]) / self._a11          # N(0, 1/a11), indep of the projection
         proj = z - np.outer(c, np.eye(self.dim)[0])  # component with (prec x)_1 = 0
@@ -521,8 +519,8 @@ class ProductBridge(Density):
         return quad(lambda t: float(np.asarray(self.factors[0].pdf(t))), float(lo[0]), 0.0,
                     limit=200)[0]
 
-    def sample(self, n, seed, stream=0):
-        rng = make_rng(seed, stream)
+    def sample(self, n, seed, path=()):
+        rng = make_rng(seed, *path)
         m_left = self._factor1_mass_below0()
         p_left = m_left / self.z_const
         p_mid = self.gamma * self._phi1_0 / self.z_const
@@ -534,7 +532,8 @@ class ProductBridge(Density):
         lefts, rights = [], []
         attempt = 0
         while len(lefts) < need_left or len(rights) < need_right:
-            draws = self.factors[0].sample(max(256, 4 * n), seed, stream + 500 + attempt)[:, 0]
+            draws = self.factors[0].sample(max(256, 4 * n), seed,
+                                           (*path, Tag.ATTEMPT, attempt))[:, 0]
             lefts.extend(draws[draws <= 0].tolist())
             rights.extend(draws[draws > 0].tolist())
             attempt += 1
@@ -546,10 +545,8 @@ class ProductBridge(Density):
         x1[mask_left] = np.array(lefts[:need_left])
         x1[mask_mid] = rng.random(int(mask_mid.sum())) * self.gamma
         x1[mask_right] = self.gamma + np.array(rights[:need_right])
-        cols = [x1]
-        for i, f in enumerate(self.factors[1:], start=1):
-            cols.append(f.sample(n, seed, stream + 17 * (i + 1))[:, 0])
-        return np.column_stack(cols)
+        return np.column_stack([x1] + [f.sample(n, seed, (*path, Tag.FACTOR, i))[:, 0]
+                                       for i, f in enumerate(self.factors[1:], start=1)])
 
     def bounding_box(self, k_sigma=8.0):
         los, his = zip(*(f.bounding_box(k_sigma) for f in self.factors))
@@ -716,7 +713,7 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
     if math.isinf(alpha):
         val = density_ratio_sup(P, Q, grid)
         return McEstimate(float(val), 0.0)
-    x = Q.sample(mc.n_samples, mc.seed)
+    x = Q.sample(mc.n_samples, mc.seed, mc.path)
     p = np.asarray(P.pdf(x), dtype=float).reshape(-1)
     q = np.asarray(Q.pdf(x), dtype=float).reshape(-1)
     bad = (p > 0) & (q == 0)
@@ -772,5 +769,5 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
 
     mc = mc or McSpec(200_000, seed=0)
     g = Gaussian(mean, cov)
-    x = g.sample(mc.n_samples, mc.seed)
+    x = g.sample(mc.n_samples, mc.seed, mc.path)
     return mean_and_stderr(trunc_set.contains(x).astype(float))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dist
 from .mc import McEstimate, McSpec, mean_and_stderr
-from .rng import make_rng
+from .rng import Tag, make_rng
 from .transfer import HolderPair, TransferReport, catalog_coefficient
 
 DEFAULT_SHIFT_EXPONENT = 10  # degree of the fixed-parameter loss polynomial
@@ -111,11 +111,9 @@ class LSAParams:
 
 
 def build_prompt(pd: PromptDistribution, seed: int) -> PromptMatrix:
-    """Sample one prompt; deterministic given the seed."""
+    """Sample one prompt: the first prompt of ``_sample_batch`` at the root."""
     n, N = pd.dim, pd.length
-    X = pd.p_x.sample(N, seed, stream=0)
-    x_query = pd.p_x_query.sample(1, seed, stream=1)[0]
-    w = pd.p_h.sample(1, seed, stream=2)[0]
+    (X,), (x_query,), (w,) = _sample_batch(pd, 1, seed, ())
     y = X @ w
     E = np.zeros((n + 1, N + 1))
     E[:n, :N] = X.T
@@ -166,12 +164,18 @@ def build_h(E_data: np.ndarray, x_query: np.ndarray, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sample_batch(pd: PromptDistribution, batch: int, seed: int, stream: int):
+def _prompt_blocks(pd: PromptDistribution, m: int, seed: int, path: tuple, size: int):
+    """The m prompts at ``(seed, path)``, at most ``size`` at a time: features
+    at ``path``, queries and weight vectors at its QUERY and TASK extensions."""
     n, N = pd.dim, pd.length
-    X = pd.p_x.sample(batch * N, seed, stream).reshape(batch, N, n)
-    xq = pd.p_x_query.sample(batch, seed, stream + 1)
-    W = pd.p_h.sample(batch, seed, stream + 2)
-    return X, xq, W
+    return ((X.reshape(-1, N, n), xq, W)
+            for X, xq, W in zip(pd.p_x.blocks(m * N, seed, path, size * N),
+                                pd.p_x_query.blocks(m, seed, (*path, Tag.QUERY), size),
+                                pd.p_h.blocks(m, seed, (*path, Tag.TASK), size)))
+
+
+def _sample_batch(pd: PromptDistribution, batch: int, seed: int, path: tuple):
+    return next(_prompt_blocks(pd, batch, seed, path, batch))
 
 
 def _batch_predictions(X, xq, W, params: LSAParams):
@@ -207,18 +211,15 @@ def population_loss(pd: PromptDistribution, params: LSAParams,
                     mc: McSpec) -> McEstimate:
     """Monte Carlo estimate of E[(yhat_query - w . x_query)^2].
 
-    The prompts of ``_sample_batch(pd, mc.n_samples, mc.seed, 0)`` are
+    The prompts of ``_sample_batch(pd, mc.n_samples, mc.seed, mc.path)`` are
     drawn and evaluated ``POPULATION_BLOCK`` at a time, so memory stays
     bounded and the estimate has the bits of one whole batch.
     """
-    n, N, m = pd.dim, pd.length, mc.n_samples
-    sq = np.empty(m)
+    sq = np.empty(mc.n_samples)
     start = 0
-    for X, xq, W in zip(pd.p_x.blocks(m * N, mc.seed, 0, POPULATION_BLOCK * N),
-                        pd.p_x_query.blocks(m, mc.seed, 1, POPULATION_BLOCK),
-                        pd.p_h.blocks(m, mc.seed, 2, POPULATION_BLOCK)):
+    for X, xq, W in _prompt_blocks(pd, mc.n_samples, mc.seed, mc.path, POPULATION_BLOCK):
         b = xq.shape[0]
-        yhat, targets = _batch_predictions(X.reshape(b, N, n), xq, W, params)[:2]
+        yhat, targets = _batch_predictions(X, xq, W, params)[:2]
         sq[start:start + b] = (yhat - targets) ** 2
         start += b
     return mean_and_stderr(sq)
@@ -231,13 +232,13 @@ def _gram_times(X, y, xq, proj, proj_x):
 
 
 def loss_gradient(pd: PromptDistribution, params: LSAParams, batch: int,
-                  seed: int, stream: int):
+                  seed: int, path: tuple):
     """Exact gradient of the batch loss through the closed-form prediction.
 
     d yhat / d r = (E E^T) v / rho and d yhat / d W_KQ = (E E^T) r x_tilde^T
     / rho; both Gram products come from the projections of the prediction.
     """
-    X, xq, W = _sample_batch(pd, batch, seed, stream)
+    X, xq, W = _sample_batch(pd, batch, seed, path)
     yhat, targets, y, rc, cv, rx, xv = _batch_predictions(X, xq, W, params)
     resid = 2.0 * (yhat - targets) / (batch * params.rho)
     n = X.shape[2]
@@ -274,7 +275,7 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
     params = LSAParams.random(n, float(pd.length), seed, init_scale)
     trace = TrainTrace()
     for step in range(steps):
-        loss, g_pv, g_kq = loss_gradient(pd, params, batch, seed, 10 + 3 * step)
+        loss, g_pv, g_kq = loss_gradient(pd, params, batch, seed, (Tag.STEP, step))
         if not math.isfinite(loss) or loss > divergence:
             raise TrainingDivergedError(trace)
         gnorm = math.sqrt(float(np.sum(g_pv ** 2) + np.sum(g_kq ** 2)))
@@ -282,7 +283,7 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
             trace.append(step, loss, gnorm)
         params.w_pv -= rate * g_pv
         params.w_kq -= rate * g_kq
-    final = population_loss(pd, params, McSpec(max(4096, batch), seed + 1))
+    final = population_loss(pd, params, McSpec(max(4096, batch), seed, (Tag.STEP, steps)))
     trace.append(steps, final.value, 0.0)
     return params, trace
 
@@ -315,7 +316,7 @@ def shift_reports(params: LSAParams, source: PromptDistribution, targets,
     call."""
     if kind not in SHIFT_KINDS:
         raise ValueError(f"shift kind must be one of {SHIFT_KINDS}")
-    l_p = population_loss(source, params, mc)
+    l_p = population_loss(source, params, mc.child(Tag.SOURCE))
     if l_p.value <= 3.0 * l_p.stderr:
         raise ValueError("source loss is degenerate (within 3 se of zero)")
     return [_shift_report(params, source, target, kind, mc, l_p, exponent, constant)
@@ -323,7 +324,7 @@ def shift_reports(params: LSAParams, source: PromptDistribution, targets,
 
 
 def _shift_report(params, source, target, kind, mc, l_p, exponent, constant):
-    l_q = population_loss(target, params, McSpec(mc.n_samples, mc.seed + 1))
+    l_q = population_loss(target, params, mc.child(Tag.TARGET))
     coefficient = math.inf
     bridge_label = "none"
     if kind == "task":

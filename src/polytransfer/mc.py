@@ -13,14 +13,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class McSpec:
-    """A Monte Carlo budget: sample count plus the seed that fixes the draws."""
+    """A Monte Carlo budget: sample count plus the seed and path that fix the draws."""
 
     n_samples: int
     seed: int = 0
+    path: tuple = ()
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+
+    def child(self, *components) -> "McSpec":
+        """The same budget drawn from ``path + components``."""
+        return McSpec(self.n_samples, self.seed, (*self.path, *components))
 
 
 @dataclass(frozen=True)

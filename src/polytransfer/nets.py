@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import Tag, make_rng
 
 RELU = "relu"
 POLY = "poly"
@@ -23,7 +23,9 @@ ADAGRAD_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
-    pass
+    def __init__(self, message, model: "MLP | None" = None):
+        super().__init__(message)
+        self.model = model   # the weights that gave the diverged batch loss
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -51,8 +53,8 @@ class MLP:
 
 
 def mlp_init(sizes=DEFAULT_SIZES, activation: str = RELU, seed: int = 0,
-             init_scale: float = 1.0) -> MLP:
-    """Per-layer uniform +-init_scale/sqrt(fan_in) initialization.
+             init_scale: float = 1.0, path: tuple = ()) -> MLP:
+    """Per-layer uniform +-init_scale/sqrt(fan_in) initialization at ``path``.
 
     The cubic activation amplifies pre-activations outside [-1, 1.5]; at
     the default scale a 6-layer polynomial net overflows on the very first
@@ -61,7 +63,7 @@ def mlp_init(sizes=DEFAULT_SIZES, activation: str = RELU, seed: int = 0,
     """
     if activation not in (RELU, POLY):
         raise ValueError(f"unknown activation {activation!r}")
-    rng = make_rng(seed)
+    rng = make_rng(seed, *path)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = init_scale / math.sqrt(fan_in)
@@ -118,7 +120,8 @@ def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
     """Mini-batch AdaGrad on the MSE objective; returns (model, loss trace).
 
     Per-parameter scaling by accumulated squared gradients; the trace holds
-    one mean training loss per epoch.
+    one mean training loss per epoch; epoch i shuffles at ``(Tag.EPOCH, i)``.
+    A diverged batch raises :class:`DivergenceError` carrying its model.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -136,13 +139,13 @@ def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
     trace = []
     n = X.shape[0]
     for epoch in range(epochs):
-        order = make_rng(seed, stream=epoch + 1).permutation(n)
+        order = make_rng(seed, Tag.EPOCH, epoch).permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             loss, gw, gb = backprop(m, X[idx], y[idx])
             if not math.isfinite(loss) or loss > divergence:
-                raise DivergenceError(f"loss {loss} at epoch {epoch}")
+                raise DivergenceError(f"loss {loss} at epoch {epoch}", m)
             epoch_losses.append(loss)
             g = np.concatenate([d.ravel() for d in gw + gb])
             acc += g ** 2

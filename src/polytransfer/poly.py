@@ -325,22 +325,20 @@ def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
     """Sample mean and standard error of g under the density.
 
     ``g`` may be vectorized over an (m, dim) array or accept single points.
-    Deterministic given the seed.  The draws ``density.sample(mc.n_samples,
-    mc.seed)`` are evaluated in ``chunks`` blocks of one stream, so
-    ``chunks`` leaves the estimate unchanged bit for bit (for a ``g`` that
-    evaluates each point on its own).  It bounds the points held at once
-    only for ``Gaussian``, ``UniformBox`` and their products; the other
-    densities draw the full sample first and hand it out in slices.  The
-    stream offsets inside ``Product.sample`` still alias across
-    streams 17 apart (``Product.sample(stream=1)`` column 1 equals
-    ``Product.sample(stream=18)`` column 0), but every chunk now reads
-    stream 0.  Non-finite values abort with the offending point.
+    Deterministic given the seed and path.  The draws
+    ``density.sample(mc.n_samples, mc.seed, mc.path)`` are evaluated in
+    ``chunks`` blocks of one stream, so ``chunks`` leaves the estimate
+    unchanged bit for bit (for a ``g`` that evaluates each point on its
+    own).  It bounds the points held at once only for ``Gaussian``,
+    ``UniformBox`` and their products; the other densities draw the full
+    sample first and hand it out in slices.  Non-finite values abort with
+    the offending point.
     """
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
     v = np.empty(mc.n_samples)
     start = 0
-    for x in density.blocks(mc.n_samples, mc.seed, 0, -(-mc.n_samples // chunks)):
+    for x in density.blocks(mc.n_samples, mc.seed, mc.path, -(-mc.n_samples // chunks)):
         v[start:start + x.shape[0]] = _eval_batch(g, x)
         start += x.shape[0]
     return mean_and_stderr(v)

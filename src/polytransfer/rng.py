@@ -1,31 +1,39 @@
-"""Seeded, counter-based random number generation.
+"""Seeded, counter-based random number generation: the one derivation rule.
 
-Every stochastic routine in this package draws from a Philox counter-based
-bit generator keyed by an integer seed.  Parallel or logically independent
-sampling tasks derive child generators by jumping the counter
-(``stream`` offsets), so results are bit-reproducible regardless of how
-work is partitioned.
+Every generator comes from ``make_rng(seed, *path)``, Philox (Salmon et al.,
+SC'11) keyed by the seed and a 64-bit BLAKE2b digest of the path, a tuple of
+unsigned 64-bit ints; the empty path keys it with 0, the seed's root stream.
+A routine handed ``(seed, path)`` draws at ``path`` and hands each part
+``path + (Tag.<PART>, i, ...)``, so no two parts share a stream.
 """
 
 from __future__ import annotations
 
+import enum
 import operator
+import struct
 
 import numpy as np
 
-STREAM_COUNT = 1 << 128   # the 256-bit counter holds 2^128 streams of 2^128 blocks
+# path components naming the parts of a routine's draws, numbered from 1
+Tag = enum.IntEnum("Tag", "FACTOR ATTEMPT QUERY TASK STEP SOURCE TARGET LOCATION "
+                          "EPOCH NOISE INIT SEEN BAND FULL")
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Return the Philox generator for ``seed``, advanced to ``stream``.
+def make_rng(seed: int, *path: int) -> np.random.Generator:
+    """The Philox generator of ``seed`` at ``path``, from counter 0."""
+    words = [operator.index(w) for w in (seed, *path)]
+    if not all(0 <= w < 1 << 64 for w in words):
+        raise ValueError(f"seed and path components must be in [0, 2**64), got {words}")
+    key = words[0]
+    if path:
+        import hashlib   # only derived streams pay for the import
 
-    Distinct ``stream`` values yield non-overlapping counter ranges of the
-    same keyed sequence; ``(seed, stream)`` fully determines the draws.
-    Stream s starts at counter s * 2^128, which is where
-    ``Philox(key=seed).jumped(s)`` starts, without the cost of the jump.
-    """
-    stream = operator.index(stream)
-    if not 0 <= stream < STREAM_COUNT:
-        raise ValueError(f"stream must be in [0, 2**128), got {stream}")
-    return np.random.Generator(np.random.Philox(counter=stream << 128,
-                                                key=np.uint64(seed)))
+        digest = hashlib.blake2b(struct.pack(f"<{len(path)}Q", *words[1:]), digest_size=8)
+        key |= int.from_bytes(digest.digest(), "little") << 64
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def replicate_seed(seed: int, replicate: int) -> int:
+    """Root seed of a sweep's replicate, written as an integer to gotu's summary.csv."""
+    return seed + 1000 + replicate

@@ -32,6 +32,7 @@ import numpy as np
 from . import dist
 from .mc import McEstimate, McSpec
 from .poly import MultiPoly, mc_functional
+from .rng import Tag
 
 DEFAULT_C = 1.0
 
@@ -199,8 +200,8 @@ def empirical_transfer_ratio(f: MultiPoly, P: dist.Density, Q: dist.Density,
     def g(x):
         return np.abs(f.eval(x)) ** power
 
-    lhs = mc_functional(g, Q, mc)
-    rhs = mc_functional(g, P, McSpec(mc.n_samples, mc.seed + 1))
+    lhs = mc_functional(g, Q, mc.child(Tag.TARGET))
+    rhs = mc_functional(g, P, mc.child(Tag.SOURCE))
     if rhs.value <= 3.0 * rhs.stderr:
         return RatioResult(math.nan, lhs, rhs, degenerate=True)
     return RatioResult(lhs.value / rhs.value, lhs, rhs)
@@ -260,12 +261,12 @@ def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
             d, holder, max(dq, 1.0), max(dp, 1.0), constant)
         bridge_label = bridge.label
 
-    lhs = mc_functional(lambda x: np.abs(f.eval(x)), Q, mc)
+    lhs = mc_functional(lambda x: np.abs(f.eval(x)), Q, mc.child(Tag.TARGET))
 
     def g_beta(x):
         return np.abs(f.eval(x)) ** beta
 
-    src = mc_functional(g_beta, P, McSpec(mc.n_samples, mc.seed + 1))
+    src = mc_functional(g_beta, P, mc.child(Tag.SOURCE))
     if src.value <= 3.0 * src.stderr:
         raise ValueError("source-side moment is degenerate (within 3 se of zero)")
     src_pow = src.value ** (1.0 / beta)

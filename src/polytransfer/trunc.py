@@ -29,6 +29,7 @@ import numpy as np
 
 from . import dist
 from .mc import McEstimate, McSpec, mean_and_stderr
+from .rng import Tag
 from .transfer import HolderPair, TransferReport
 
 EXACT_MASS_FLOOR = 1e-6
@@ -111,19 +112,19 @@ def truncated_normal_moments(mu: float, intervals) -> tuple[float, float, float]
 
 
 def sample_truncated_normal(mean: float, var: float, s: dist.TruncationSet,
-                            n: int, seed: int) -> np.ndarray:
+                            n: int, seed: int, path: tuple = ()) -> np.ndarray:
     """Draws from N(mean, var) conditioned on s; all samples land inside s."""
     mass = float(dist.gaussian_mass([mean], [[var]], s))
     if mass < EXACT_MASS_FLOOR:
         raise MassTooSmallError(f"truncation mass {mass:.3g} below {EXACT_MASS_FLOOR}")
     tg = dist.TruncatedGaussian([mean], [[var]], s)
-    return tg.sample(n, seed)[:, 0]
+    return tg.sample(n, seed, path)[:, 0]
 
 
 def _per_location_expected_sq(mu: float, c: float, s: dist.TruncationSet,
-                              mc: McSpec | None) -> McEstimate:
+                              mc: McSpec | None, i: int) -> McEstimate:
     """E[(y - c)^2] for y ~ N(mu, 1) conditioned on s; exact (stderr 0) for
-    interval-reducible sets, else the mean of sampled squares."""
+    interval-reducible sets, else the mean of squares drawn at location i's path."""
     intervals = _intervals_of(s)
     if intervals is not None:
         m0, m1, m2 = truncated_normal_moments(mu, intervals)
@@ -135,7 +136,7 @@ def _per_location_expected_sq(mu: float, c: float, s: dist.TruncationSet,
     mass = float(dist.gaussian_mass([mu], [[1.0]], s))
     if mass < MC_MASS_FLOOR:
         raise MassTooSmallError(f"truncation mass {mass:.3g} below {MC_MASS_FLOOR}")
-    y = sample_truncated_normal(mu, 1.0, s, mc.n_samples, mc.seed)
+    y = sample_truncated_normal(mu, 1.0, s, mc.n_samples, mc.seed, (*mc.path, Tag.LOCATION, i))
     return mean_and_stderr((y - c) ** 2)
 
 
@@ -143,13 +144,12 @@ def _truncated_mse_estimate(model, inst: TruncatedRegressionInstance,
                             mc: McSpec | None) -> McEstimate:
     """``truncated_mse`` with its standard error.
 
-    Every location draws with the same seed, so the per-location errors are
-    dependent; the mean of their standard errors bounds the standard error
-    of the average (triangle inequality) whatever the dependence.
+    Location i draws at ``mc``'s path plus ``(Tag.LOCATION, i)``; the mean of
+    the per-location standard errors bounds that of the average.
     """
     preds = np.array([float(model(x)) for x in inst.covariates])
-    ests = [_per_location_expected_sq(mu, c, inst.trunc_set, mc)
-            for mu, c in zip(inst.locations, preds)]
+    ests = [_per_location_expected_sq(mu, c, inst.trunc_set, mc, i)
+            for i, (mu, c) in enumerate(zip(inst.locations, preds))]
     return McEstimate(float(np.mean([e.value for e in ests])),
                       float(np.mean([e.stderr for e in ests])))
 

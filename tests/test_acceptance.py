@@ -315,7 +315,7 @@ def test_10_figure_reproduction():
         return np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
 
     def band_samples(count, seed):
-        rng = make_rng(seed, stream=7)
+        rng = make_rng(seed, 7)
         out, have = [], 0
         while have < count:
             pts = band_lo + rng.random((2 * count, 2)) * (band_hi - band_lo)

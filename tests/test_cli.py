@@ -281,6 +281,72 @@ class TestExperiments:
         assert (tmp_path / "root" / "sub" / "ensemble.csv").exists()
 
 
+def run_small_figure(tmp_path, experiment, **extra):
+    out = tmp_path / "run"
+    lines = [f"experiment = {experiment}", f"out = {out}", f"{experiment}.n_samples = 64",
+             f"{experiment}.degree = 4", f"{experiment}.epochs = 7",
+             f"{experiment}.resolution = 8"]
+    lines += [f"{experiment}.{k} = {v}" for k, v in extra.items()]
+    run_config(tmp_path, "\n".join(lines) + "\n")
+    return out
+
+
+class TestFigureStreams:
+    def test_net_init_is_not_an_image_of_the_training_points(self, tmp_path, monkeypatch):
+        # the nets used to draw their first-layer weights from the root
+        # stream of the training points, an affine image of the first 20
+        from polytransfer import dist, nets
+
+        inits, real = [], nets.mlp_init
+
+        def recorded(*args, **kwargs):
+            inits.append(real(*args, **kwargs))
+            return inits[-1]
+
+        monkeypatch.setattr(nets, "mlp_init", recorded)
+        run_small_figure(tmp_path, "fig2", poly_epochs=0)
+        X = dist.UniformBox((-0.5, -0.5), (0.5, 0.5)).sample(64, 0)
+        assert len(inits) == 2
+        for m in inits:
+            r = np.corrcoef(m.weights[0].ravel(), X[:20].ravel())[0, 1]
+            assert abs(r) < 0.9
+
+    def test_training_streams_are_not_the_data_or_region_streams(self, tmp_path, monkeypatch):
+        # epoch e used to permute with stream e + 1, the stream of the noise
+        # (3), the seen (5), full (6) and band (7) samplers
+        from polytransfer import dist, nets
+
+        keys = {"nets": set(), "data": set()}
+
+        def recording(owner, real):
+            def make_rng(*args, **kwargs):
+                rng = real(*args, **kwargs)
+                state = rng.bit_generator.state["state"]
+                keys[owner].add((*state["counter"].tolist(), *state["key"].tolist()))
+                return rng
+            return make_rng
+
+        monkeypatch.setattr(nets, "make_rng", recording("nets", nets.make_rng))
+        monkeypatch.setattr(dist, "make_rng", recording("data", dist.make_rng))
+        monkeypatch.setattr(cli, "make_rng", recording("data", cli.make_rng))
+        run_small_figure(tmp_path, "fig2", poly_epochs=7)
+        assert len(keys["nets"]) == 2 + 7 and len(keys["data"]) == 4
+        assert not keys["nets"] & keys["data"]
+
+    def test_diverged_net_is_evaluated_and_reported(self, tmp_path, capsys):
+        # at init scale 1 the cubic net overflows on its first batch
+        out = run_small_figure(tmp_path, "fig2", poly_epochs=2, poly_init_scale=1.0)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fig2: poly_net diverged (seed 0): loss ")
+        assert "at epoch 0" in err[0]
+        assert len(list(out.glob("heatmap_*.svg"))) == 4
+        with open(out / "mse.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        assert {r["model"] for r in rows} == {"poly20", "relu_net", "poly_net"}
+
+
 EXPERIMENT_MODULES = {f"polytransfer.{m}" for m in (
     "boolean", "dist", "gotu", "heatmap", "icl", "nets", "poly", "transfer", "trunc")}
 
@@ -305,6 +371,7 @@ class TestImports:
         loaded = modules_loaded_by("import polytransfer.cli", tmp_path)
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}
         assert not loaded & EXPERIMENT_MODULES
+        assert "hashlib" not in loaded   # only derived streams import it
 
     def test_boolean_run_loads_no_scipy(self, tmp_path):
         (tmp_path / "c.txt").write_text(

@@ -8,7 +8,9 @@ from scipy.stats import norm
 
 from polytransfer import dist
 from polytransfer.mc import McSpec
-from polytransfer.rng import make_rng
+from polytransfer.rng import Tag, make_rng
+
+PATHS = st.lists(st.integers(0, 2 ** 64 - 1), max_size=3).map(tuple)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -132,13 +134,13 @@ class TestSampling:
         assert not np.array_equal(g.sample(1000, 5), g.sample(1000, 6))
 
     @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1e6), st.integers(1, 300),
-           st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 20))
+           st.integers(0, 2 ** 32 - 1), PATHS)
     @settings(max_examples=60, deadline=None)
-    def test_1d_sample_bits_equal_matmul(self, mean, var, n, seed, stream):
+    def test_1d_sample_bits_equal_matmul(self, mean, var, n, seed, path):
         g = dist.Gaussian([mean], [[var]])
-        z = make_rng(seed, stream).standard_normal((n, 1))
+        z = make_rng(seed, *path).standard_normal((n, 1))
         expected = g.mean + z @ g._chol.T
-        got = g.sample(n, seed, stream)
+        got = g.sample(n, seed, path)
         assert got.shape == (n, 1)
         assert got.tobytes() == expected.tobytes()
 
@@ -206,24 +208,32 @@ BLOCK_DENSITIES = {
 class TestBlocks:
     @pytest.mark.parametrize("name", sorted(BLOCK_DENSITIES))
     @given(n=st.integers(0, 400), size=st.integers(1, 500),
-           seed=st.integers(0, 2 ** 32 - 1), stream=st.integers(0, 2 ** 20))
+           seed=st.integers(0, 2 ** 32 - 1), path=PATHS)
     @settings(max_examples=40, deadline=None)
-    def test_blocks_concatenate_to_sample(self, name, n, size, seed, stream):
+    def test_blocks_concatenate_to_sample(self, name, n, size, seed, path):
         d = BLOCK_DENSITIES[name]
-        blocks = list(d.blocks(n, seed, stream, size))
+        blocks = list(d.blocks(n, seed, path, size))
         assert [b.shape[0] for b in blocks] == [min(size, n - s) for s in range(0, n, size)]
         got = np.concatenate(blocks) if blocks else np.empty((0, d.dim))
-        assert got.tobytes() == d.sample(n, seed, stream).tobytes()
+        assert got.tobytes() == d.sample(n, seed, path).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_DENSITIES))
     def test_block_size_must_be_positive(self, name):
         with pytest.raises(ValueError):
-            BLOCK_DENSITIES[name].blocks(10, 0, 0, 0)
+            BLOCK_DENSITIES[name].blocks(10, 0, (), 0)
+
+    def test_product_factor_columns_do_not_alias(self):
+        # factor i used to read stream + 17 (i + 1), so column 1 at stream 1
+        # was column 0 at stream 18
+        d = BLOCK_DENSITIES["product-2d"]
+        paths = [(), (1,), (18,), (18, 0), (Tag.FACTOR, 0), (Tag.FACTOR, 1)]
+        cols = {x[:, j].tobytes() for p in paths for x in [d.sample(50, 3, p)] for j in (0, 1)}
+        assert len(cols) == 2 * len(paths)
 
     def test_correlated_sample_is_the_cholesky_map(self):
         g = BLOCK_DENSITIES["gaussian-3d"]
         z = make_rng(4, 2).standard_normal((500, 3))
-        np.testing.assert_allclose(g.sample(500, 4, 2), g.mean + z @ g._chol.T,
+        np.testing.assert_allclose(g.sample(500, 4, (2,)), g.mean + z @ g._chol.T,
                                    rtol=1e-14, atol=1e-14)
 
     @given(rows=st.integers(1, 40), k=st.integers(1, 9), cols=st.integers(1, 5),
@@ -307,8 +317,8 @@ class TestRenyi:
     def test_infinite_ratio_flagged(self):
         class LeakyUniform(dist.UniformBox):
             # sampler support exceeds the pdf support: forces p>0, q=0 draws
-            def sample(self, n, seed, stream=0):
-                return dist.UniformBox([0.0], [2.0]).sample(n, seed, stream)
+            def sample(self, n, seed, path=()):
+                return dist.UniformBox([0.0], [2.0]).sample(n, seed, path)
 
         p = dist.UniformBox([0.0], [2.0])
         q = LeakyUniform([0.0], [1.0])

@@ -141,7 +141,7 @@ class TestPopulationLossBlocks:
         params = random_params(n, float(length), 2)
         mc = McSpec(2500, 3)
         # the reference evaluates the whole batch at once
-        X, xq, W = icl._sample_batch(pd, mc.n_samples, mc.seed, 0)
+        X, xq, W = icl._sample_batch(pd, mc.n_samples, mc.seed, mc.path)
         yhat, targets = icl._batch_predictions(X, xq, W, params)[:2]
         whole = mean_and_stderr((yhat - targets) ** 2)
         for block in (1, 7, 1000, mc.n_samples):
@@ -166,7 +166,7 @@ class TestTraining:
     def test_gradient_matches_finite_differences(self):
         pd = icl.PromptDistribution.gaussian(2, 4)
         params = random_params(2, 4.0, 0, scale=0.3)
-        _, g_pv, g_kq = icl.loss_gradient(pd, params, 128, 1, 0)
+        _, g_pv, g_kq = icl.loss_gradient(pd, params, 128, 1, ())
         eps = 1e-6
         for mat_name, grad in (("w_pv", g_pv), ("w_kq", g_kq)):
             for idx in [(0, 0), (2, 1), (1, 2)]:
@@ -174,8 +174,8 @@ class TestTraining:
                 getattr(plus, mat_name)[idx] += eps
                 minus = params.copy()
                 getattr(minus, mat_name)[idx] -= eps
-                lp = icl.loss_gradient(pd, plus, 128, 1, 0)[0]
-                lm = icl.loss_gradient(pd, minus, 128, 1, 0)[0]
+                lp = icl.loss_gradient(pd, plus, 128, 1, ())[0]
+                lm = icl.loss_gradient(pd, minus, 128, 1, ())[0]
                 fd = (lp - lm) / (2 * eps)
                 if abs(fd) > 1e-10:
                     assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -185,11 +185,11 @@ class TestTraining:
         # the prediction is linear in the last row r of W_PV and in W_KQ, so
         # d yhat / d r_i and d yhat / d W_KQ[i, j] are closed-form predictions
         # with that parameter replaced by a unit vector / unit matrix
-        length, batch, seed, stream = 5, 12, 3, 40
+        length, batch, seed, path = 5, 12, 3, (40,)
         pd = icl.PromptDistribution.gaussian(n, length)
         params = random_params(n, float(length), 2, scale=0.4)
-        loss, g_pv, g_kq = icl.loss_gradient(pd, params, batch, seed, stream)
-        X, xq, W = icl._sample_batch(pd, batch, seed, stream)
+        loss, g_pv, g_kq = icl.loss_gradient(pd, params, batch, seed, path)
+        X, xq, W = icl._sample_batch(pd, batch, seed, path)
         unit = np.eye(n + 1)
         ref_loss, ref_pv, ref_kq = 0.0, np.zeros(n + 1), np.zeros((n + 1, n + 1))
         for b in range(batch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polytransfer import nets
-from polytransfer.rng import make_rng
+from polytransfer.rng import Tag, make_rng
 
 
 class TestForward:
@@ -121,13 +121,13 @@ def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64,
     trace = []
     n = X.shape[0]
     for epoch in range(epochs):
-        order = make_rng(seed, stream=epoch + 1).permutation(n)
+        order = make_rng(seed, Tag.EPOCH, epoch).permutation(n)
         epoch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             loss, gw, gb = nets.backprop(m, X[idx], y[idx])
             if not math.isfinite(loss) or loss > divergence:
-                raise nets.DivergenceError(f"loss {loss} at epoch {epoch}")
+                raise nets.DivergenceError(f"loss {loss} at epoch {epoch}", m)
             epoch_losses.append(loss)
             for i in range(len(m.weights)):
                 acc_w[i] += gw[i] ** 2
@@ -136,6 +136,20 @@ def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64,
                 m.biases[i] -= rate * gb[i] / np.sqrt(acc_b[i] + eps)
         trace.append(float(np.mean(epoch_losses)))
     return m, trace
+
+
+def same_params(a, b):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def outcome(train, *args, **kwargs):
+    """(model, trace) of a finished run, or (model at the failing batch,
+    message) of a diverged one."""
+    try:
+        return train(*args, **kwargs)
+    except nets.DivergenceError as e:
+        return e.model, str(e)
 
 
 class TestFlatAdagrad:
@@ -147,16 +161,16 @@ class TestFlatAdagrad:
 
     @pytest.mark.parametrize("activation, scale", [(nets.RELU, 1.0), (nets.POLY, 0.5)])
     def test_matches_per_layer_loop(self, activation, scale):
+        # at these seeds the cubic net diverges in epoch 1; both loops must
+        # then stop at the same batch with the same weights
         X, y = self.data()
         m = nets.mlp_init(nets.DEFAULT_SIZES, activation, seed=12, init_scale=scale)
         before = m.copy()
-        got, got_trace = nets.train_adagrad(m, X, y, epochs=4, rate=0.02, seed=13)
-        ref, ref_trace = adagrad_per_layer(m, X, y, epochs=4, rate=0.02, seed=13)
+        got, got_trace = outcome(nets.train_adagrad, m, X, y, epochs=4, rate=0.02, seed=13)
+        ref, ref_trace = outcome(adagrad_per_layer, m, X, y, epochs=4, rate=0.02, seed=13)
         assert got_trace == ref_trace
-        for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        for a, b in zip(m.weights + m.biases, before.weights + before.biases):
-            assert a.tobytes() == b.tobytes()   # the input model is not updated
+        assert same_params(got, ref)
+        assert same_params(m, before)   # the input model is not updated
 
     def test_divergence_still_raised(self):
         X, y = self.data()
@@ -166,6 +180,7 @@ class TestFlatAdagrad:
         with pytest.raises(nets.DivergenceError) as ref:
             adagrad_per_layer(m, X, y, epochs=20, rate=1.0, seed=13, divergence=1e3)
         assert str(got.value) == str(ref.value)
+        assert same_params(got.value.model, ref.value.model)   # the failing batch's weights
 
 
 class TestCheckpoint:

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from polytransfer import dist, trunc
 from polytransfer.mc import McSpec
+from polytransfer.rng import Tag
 
 HALF_LINE = dist.IntervalUnion(((0.0, math.inf),))
 REAL_LINE = dist.IntervalUnion(((-math.inf, math.inf),))
@@ -234,7 +235,8 @@ class TestTransferCheckStandardErrors:
         res = {}
         for seed in (3, 4):
             r = trunc.truncated_transfer_check(lambda x: 0.0, inst, mc=McSpec(10_000, seed))
-            y = trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 10_000, seed)
+            y = trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 10_000, seed,
+                                              (Tag.LOCATION, 0))
             assert r.forward.lhs_se == 0.0 and r.reverse.rhs_se == 0.0  # full MSE is exact
             assert r.reverse.lhs_se == pytest.approx(np.std(y ** 2, ddof=1) / 100.0, rel=1e-12)
             assert r.forward.rhs_se == pytest.approx(r.forward.coefficient * r.reverse.lhs_se,
@@ -243,6 +245,18 @@ class TestTransferCheckStandardErrors:
             res[seed] = r
         gap = abs(res[3].truncated - res[4].truncated)
         assert gap < 3.0 * math.hypot(res[3].reverse.lhs_se, res[4].reverse.lhs_se)
+
+    def test_locations_draw_from_their_own_paths(self):
+        # every location used to draw with the same seed: two locations at
+        # one point gave one estimate twice
+        inst = trunc.TruncatedRegressionInstance(np.zeros((2, 1)), lambda x: 0.0,
+                                                 AbsAtLeastHalf())
+        r = trunc.truncated_transfer_check(lambda x: 0.0, inst, mc=McSpec(2000, 5))
+        ests = [np.mean(trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 2000, 5,
+                                                      (Tag.LOCATION, i)) ** 2)
+                for i in (0, 1)]
+        assert ests[0] != ests[1]
+        assert r.truncated == pytest.approx(np.mean(ests), rel=1e-12)
 
     def test_interval_set_is_exact_with_or_without_a_budget(self):
         inst = one_point_instance(0.0, HALF_LINE)
