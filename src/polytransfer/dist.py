@@ -319,8 +319,7 @@ class TruncatedGaussian(Density):
         self.base = Gaussian(mean, cov)
         self.dim = self.base.dim
         self.trunc_set = trunc_set
-        est = gaussian_mass(self.base.mean, self.base.cov, trunc_set,
-                            mass_mc or McSpec(200_000, seed=0))
+        est = gaussian_mass(self.base.mean, self.base.cov, trunc_set, mass_mc)
         self.mass = float(est)
         if self.mass <= 0:
             raise ValueError("truncation set has zero mass")

@@ -165,8 +165,7 @@ def build_h(E_data: np.ndarray, x_query: np.ndarray, length: int) -> np.ndarray:
 
 
 def _prompt_blocks(pd: PromptDistribution, m: int, seed: int, path: tuple, size: int):
-    """The m prompts at ``(seed, path)``, at most ``size`` at a time: features
-    at ``path``, queries and weight vectors at its QUERY and TASK extensions."""
+    """m prompts, ``size`` at a time: features at ``path``, queries and weights at QUERY, TASK."""
     n, N = pd.dim, pd.length
     return ((X.reshape(-1, N, n), xq, W)
             for X, xq, W in zip(pd.p_x.blocks(m * N, seed, path, size * N),

@@ -30,7 +30,7 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
         import hashlib   # only derived streams pay for the import
 
         digest = hashlib.blake2b(struct.pack(f"<{len(path)}Q", *words[1:]), digest_size=8)
-        key |= int.from_bytes(digest.digest(), "little") << 64
+        key = np.array([key, int.from_bytes(digest.digest(), "little")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

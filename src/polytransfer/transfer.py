@@ -32,7 +32,7 @@ import numpy as np
 from . import dist
 from .mc import McEstimate, McSpec
 from .poly import MultiPoly, mc_functional
-from .rng import Tag
+from .rng import Tag, make_rng
 
 DEFAULT_C = 1.0
 
@@ -329,8 +329,6 @@ def ensemble_max_ratio(P_interval, Q_interval, degree: int, count: int,
     Expectations are exact (piecewise antiderivatives), so the result is
     deterministic given the seed.
     """
-    from .rng import make_rng
-
     rng = make_rng(seed)
     a_p, b_p = P_interval
     a_q, b_q = Q_interval
