@@ -174,7 +174,9 @@ class Density:
         raise NotImplementedError
 
     def sample(self, n: int, seed: int, path: tuple = ()) -> np.ndarray:
-        raise NotImplementedError
+        """``n`` draws as one block of ``blocks``; densities that cannot draw
+        row by row override this instead (and inherit ``blocks``)."""
+        return next(self.blocks(n, seed, path, max(n, 1)), np.empty((0, self.dim)))
 
     def blocks(self, n: int, seed: int, path: tuple, size: int):
         """Successive row blocks of at most ``size`` rows that concatenate to
@@ -230,10 +232,6 @@ class Gaussian(Density):
     def pdf(self, x):
         return _maybe_scalar(np.exp(self.log_pdf(x)), x)
 
-    def sample(self, n, seed, path=()):
-        z = make_rng(seed, *path).standard_normal((n, self.dim))
-        return self.mean + rowwise_matmul(z, self._chol.T)
-
     def blocks(self, n, seed, path, size):
         rng = make_rng(seed, *path)
         return (self.mean + rowwise_matmul(rng.standard_normal((m, self.dim)), self._chol.T)
@@ -263,9 +261,6 @@ class UniformBox(Density):
         inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
         return _maybe_scalar(np.where(inside, self._density, 0.0), x)
 
-    def sample(self, n, seed, path=()):
-        return self.lo + make_rng(seed, *path).random((n, self.dim)) * (self.hi - self.lo)
-
     def blocks(self, n, seed, path, size):
         rng = make_rng(seed, *path)
         return (self.lo + rng.random((m, self.dim)) * (self.hi - self.lo)
@@ -292,10 +287,6 @@ class Product(Density):
         for i, f in enumerate(self.factors):
             out *= np.asarray(f.pdf(pts[:, i]))
         return _maybe_scalar(out, x)
-
-    def sample(self, n, seed, path=()):
-        return np.column_stack([f.sample(n, seed, (*path, Tag.FACTOR, i))[:, 0]
-                                for i, f in enumerate(self.factors)])
 
     def blocks(self, n, seed, path, size):
         per_factor = [f.blocks(n, seed, (*path, Tag.FACTOR, i), size)

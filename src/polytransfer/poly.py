@@ -6,6 +6,11 @@ measure on a declared box ("box basis").  High-degree fits should use the
 box basis; raw monomials above degree ~10 are numerically unusable on wide
 boxes.  Multi-indices are kept in graded lexicographic order throughout,
 including in the text serialization.
+
+One kernel, ``_tensor_columns``, forms every product over axes of per-axis
+tables (design matrices, evaluation, region Grams, basis conversion).
+``MultiPoly.eval`` runs it on fixed-size row blocks and sums each row on its
+own: memory stays bounded and a point's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -77,6 +82,44 @@ def _legendre_values(points: np.ndarray, degree: int, a: float, b: float) -> np.
     return out * norms
 
 
+def _as_box(box):
+    return tuple(np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
+
+
+def _basis_box(basis: str, box):
+    """The (lo, hi) arrays a box basis is scaled to; None for monomials."""
+    if basis not in (MONOMIAL, BOX):
+        raise ValueError(f"unknown basis {basis!r}")
+    if basis == BOX and box is None:
+        raise ValueError("box basis requires a declared box")
+    return _as_box(box) if basis == BOX else None
+
+
+def _axis_tables(pts: np.ndarray, degree: int, basis: str, box):
+    """Per-axis tables (n_points, degree+1) of the 1-D basis at ``pts``."""
+    if basis == MONOMIAL:
+        return [np.vander(pts[:, i], degree + 1, increasing=True) for i in range(pts.shape[1])]
+    lo, hi = _basis_box(basis, box)
+    return [_legendre_values(pts[:, i], degree, lo[i], hi[i]) for i in range(pts.shape[1])]
+
+
+_KERNEL_ROWS = 32  # rows per gather in _tensor_columns; sizes its only temporary
+_EVAL_ROWS = 1024  # rows per block in MultiPoly.eval
+
+
+def _tensor_columns(tables, alphas) -> np.ndarray:
+    """out[:, j] = prod_i tables[i][:, alphas[j][i]], the axes multiplied in order; fills
+    one preallocated array a few gathered rows at a time (no whole-matrix temporary)."""
+    idx = np.array(alphas, dtype=np.intp).reshape(len(alphas), len(tables)).T
+    out = np.empty((tables[0].shape[0], len(alphas)))
+    for start in range(0, out.shape[0], _KERNEL_ROWS):
+        rows = slice(start, start + _KERNEL_ROWS)
+        np.take(tables[0][rows], idx[0], axis=1, out=out[rows])
+        for t, e in zip(tables[1:], idx[1:]):
+            out[rows] *= t[rows][:, e]
+    return out
+
+
 @dataclass
 class MultiPoly:
     """Sparse multivariate polynomial: map multi-index -> coefficient.
@@ -92,44 +135,26 @@ class MultiPoly:
     box: tuple | None = None
 
     def __post_init__(self):
-        if self.basis not in (MONOMIAL, BOX):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.basis == BOX:
-            if self.box is None:
-                raise ValueError("box basis requires a declared box")
-            lo = np.atleast_1d(np.asarray(self.box[0], dtype=float))
-            hi = np.atleast_1d(np.asarray(self.box[1], dtype=float))
-            self.box = (lo, hi)
-        bad = [a for a in self.coeffs if len(a) != self.dim or sum(a) > self.degree]
+        self.box = _basis_box(self.basis, self.box)
+        bad = [a for a in self.coeffs
+               if len(a) != self.dim or sum(a) > self.degree or min(a, default=0) < 0]
         if bad:
             raise ValueError(f"multi-index {bad[0]} breaks the degree/dim contract")
         self.coeffs = {tuple(int(e) for e in a): float(c) for a, c in self.coeffs.items()}
 
     # -- evaluation ---------------------------------------------------------
 
-    def _tables(self, pts: np.ndarray):
-        if self.basis == MONOMIAL:
-            return [np.vander(pts[:, i], self.degree + 1, increasing=True)
-                    for i in range(self.dim)]
-        lo, hi = self.box
-        return [_legendre_values(pts[:, i], self.degree, lo[i], hi[i])
-                for i in range(self.dim)]
-
     def eval(self, x):
-        pts = np.asarray(x, dtype=float)
-        scalar = pts.ndim == 1
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
+        scalar = np.ndim(x) == 1
+        pts = np.atleast_2d(np.asarray(x, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[1]}, expected {self.dim}")
-        tables = self._tables(pts)
+        alphas, c = list(self.coeffs), np.array(list(self.coeffs.values()))
         out = np.zeros(pts.shape[0])
-        for alpha, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for i, e in enumerate(alpha):
-                if e:
-                    term *= tables[i][:, e]
-            out += term
+        for start in range(0, pts.shape[0], _EVAL_ROWS):
+            rows = slice(start, start + _EVAL_ROWS)
+            A = _tensor_columns(_axis_tables(pts[rows], self.degree, self.basis, self.box), alphas)
+            out[rows] = np.multiply(A, c, out=A).sum(axis=1)
         return float(out[0]) if scalar else out
 
     __call__ = eval
@@ -161,8 +186,7 @@ class MultiPoly:
         return self._convert(mats, MONOMIAL, None)
 
     def to_box(self, box) -> "MultiPoly":
-        lo = np.atleast_1d(np.asarray(box[0], dtype=float))
-        hi = np.atleast_1d(np.asarray(box[1], dtype=float))
+        lo, hi = _as_box(box)
         if self.basis == BOX:
             same = np.array_equal(self.box[0], lo) and np.array_equal(self.box[1], hi)
             return self if same else self.to_monomial().to_box((lo, hi))
@@ -172,16 +196,14 @@ class MultiPoly:
         return self._convert(mats, BOX, (lo, hi))
 
     def _convert(self, mats, basis, box):
-        out: dict = {}
-        for alpha, c in self.coeffs.items():
-            rows = [mats[i][e, : e + 1] for i, e in enumerate(alpha)]
-            for combo in iter_product(*(range(r.size) for r in rows)):
-                w = c
-                for r, j in zip(rows, combo):
-                    w *= r[j]
-                if w != 0.0:
-                    out[combo] = out.get(combo, 0.0) + w
-        return MultiPoly(self.dim, self.degree, basis, out, box)
+        """Coefficients c @ T, T[a, b] = prod_i mats[i][alpha_a[i], beta_b[i]]: row k of
+        the lower-triangular mats[i] expands basis function k of axis i."""
+        alphas = list(self.coeffs)
+        betas = multi_indices(self.dim, self.degree)
+        tables = [np.tril(m)[[a[i] for a in alphas]] for i, m in enumerate(mats)]
+        new = np.array(list(self.coeffs.values())) @ _tensor_columns(tables, betas)
+        return MultiPoly(self.dim, self.degree, basis,
+                         {b: float(v) for b, v in zip(betas, new) if v != 0.0}, box)
 
 
 def zero_poly(dim: int, basis: str = MONOMIAL, box=None) -> MultiPoly:
@@ -208,59 +230,35 @@ def box_region_gram(degree: int, basis_box, region, subtract=None) -> np.ndarray
     which is what makes high-degree fits extrapolate instead of exploding.
     Entries factor into per-axis 1-D Grams computed by Gauss-Legendre.
     """
-    lo_b = np.atleast_1d(np.asarray(basis_box[0], dtype=float))
-    hi_b = np.atleast_1d(np.asarray(basis_box[1], dtype=float))
-    dim = lo_b.size
-    alphas = multi_indices(dim, degree)
+    lo_b, hi_b = _as_box(basis_box)
+    alphas = multi_indices(lo_b.size, degree)
     nodes, weights = np.polynomial.legendre.leggauss(6 * (degree + 1))
 
-    def one_box_axis_grams(lo_r, hi_r):
-        grams = []
-        for i in range(dim):
-            pts = 0.5 * (nodes + 1.0) * (hi_r[i] - lo_r[i]) + lo_r[i]
-            w = 0.5 * weights  # normalized to the uniform measure on the axis
+    def box_gram(lo, hi):
+        # vol * G, G[a, b] = prod_i g_i[alpha_a[i], alpha_b[i]] over the 1-D Grams g_i on
+        # [lo_i, hi_i]; those are not bit-symmetric, so the lower triangle is mirrored
+        rows = []
+        for i, exps in enumerate(zip(*alphas)):
+            pts = 0.5 * (nodes + 1.0) * (hi[i] - lo[i]) + lo[i]
             tab = _legendre_values(pts, degree, lo_b[i], hi_b[i])
-            grams.append((tab.T * w) @ tab)
-        return grams
+            rows.append(((tab.T * (0.5 * weights)) @ tab)[list(exps)])
+        G = _tensor_columns(rows, alphas)
+        for a in range(len(alphas)):
+            G[a, a + 1:] = G[a + 1:, a]
+        vol = float(np.prod(hi - lo))
+        return np.multiply(G, vol, out=G), vol
 
-    def assemble(axis_grams):
-        G = np.empty((len(alphas), len(alphas)))
-        for a, alpha in enumerate(alphas):
-            for b, beta in enumerate(alphas[: a + 1]):
-                v = 1.0
-                for i in range(dim):
-                    v *= axis_grams[i][alpha[i], beta[i]]
-                G[a, b] = G[b, a] = v
-        return G
-
-    lo_r = np.atleast_1d(np.asarray(region[0], dtype=float))
-    hi_r = np.atleast_1d(np.asarray(region[1], dtype=float))
-    vol_r = float(np.prod(hi_r - lo_r))
-    G = vol_r * assemble(one_box_axis_grams(lo_r, hi_r))
+    G, vol = box_gram(*_as_box(region))
     if subtract is not None:
-        lo_s = np.atleast_1d(np.asarray(subtract[0], dtype=float))
-        hi_s = np.atleast_1d(np.asarray(subtract[1], dtype=float))
-        vol_s = float(np.prod(hi_s - lo_s))
-        G = G - vol_s * assemble(one_box_axis_grams(lo_s, hi_s))
-        vol_r -= vol_s
-    return G / vol_r
+        G_s, vol_s = box_gram(*_as_box(subtract))
+        G, vol = np.subtract(G, G_s, out=G), vol - vol_s
+    return np.divide(G, vol, out=G)  # in place: a freed temporary can stay resident
 
 
 def design_matrix(X: np.ndarray, degree: int, basis: str, box=None):
     X = np.asarray(X, dtype=float)
-    dim = X.shape[1]
-    alphas = multi_indices(dim, degree)
-    proto = MultiPoly(dim, degree, basis, {tuple([0] * dim): 0.0},
-                      box if basis == BOX else None)
-    tables = proto._tables(X)
-    A = np.empty((X.shape[0], len(alphas)))
-    for j, alpha in enumerate(alphas):
-        col = np.ones(X.shape[0])
-        for i, e in enumerate(alpha):
-            if e:
-                col *= tables[i][:, e]
-        A[:, j] = col
-    return A, alphas
+    alphas = multi_indices(X.shape[1], degree)
+    return _tensor_columns(_axis_tables(X, degree, basis, box), alphas), alphas
 
 
 def fit_regression(X, y, degree: int, basis: str = MONOMIAL, ridge: float = 0.0,
@@ -293,7 +291,7 @@ def fit_regression(X, y, degree: int, basis: str = MONOMIAL, ridge: float = 0.0,
             G = G + np.asarray(penalty_matrix, dtype=float)
         beta = np.linalg.solve(G, A.T @ y)
     coeffs = {alpha: float(b) for alpha, b in zip(alphas, beta)}
-    p = MultiPoly(X.shape[1], degree, basis, coeffs, box if basis == BOX else None)
+    p = MultiPoly(X.shape[1], degree, basis, coeffs, box)
     resid = float(np.mean((A @ beta - y) ** 2))
     return FitResult(p, resid)
 

@@ -6,6 +6,7 @@ come from preliminary brute-force passes recorded in their tests.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import csv
 import math
 import time
 
@@ -306,43 +307,21 @@ def test_09_icl_training_band_and_task_shift():
     assert elapsed < 300.0
 
 
-def test_10_figure_reproduction():
+def test_10_figure_reproduction(tmp_path):
+    # the fig1 CLI run itself at seeds 0-2; the heatmap resolution only
+    # shapes the SVGs, so it is cut
     start = time.perf_counter()
-    seen_lo, seen_hi = np.array([0.0, -1.0]), np.array([1.0, 1.0])
-    band_lo, band_hi = np.array([-1.0, -2.0]), np.array([2.0, 2.0])
-
-    def f_star(pts):
-        return np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
-
-    def band_samples(count, seed):
-        rng = make_rng(seed, 7)
-        out, have = [], 0
-        while have < count:
-            pts = band_lo + rng.random((2 * count, 2)) * (band_hi - band_lo)
-            inside = np.all((pts >= seen_lo) & (pts <= seen_hi), axis=1)
-            keep = pts[~inside]
-            out.append(keep)
-            have += keep.shape[0]
-        return np.concatenate(out)[:count]
-
-    source = dist.UniformBox(seen_lo, seen_hi)
     seen_mses, poly_band, relu_band = [], [], []
     for seed in (0, 1, 2):
-        X = source.sample(10_000, seed)
-        y = f_star(X)
-        fit = cli.fit_extrapolating_poly(X, y, 20, seen_lo, seen_hi,
-                                         band_lo, band_hi, ridge=1e-10,
-                                         band_penalty=3e-3)
-        relu = nets.mlp_init(activation=nets.RELU, seed=seed)
-        relu, _ = nets.train_adagrad(relu, X, y, epochs=150, rate=0.05, seed=seed)
-        seen_pts = source.sample(20_000, seed + 100)
-        band_pts = band_samples(20_000, seed + 200)
-        seen_mses.append(float(np.mean((fit.poly.eval(seen_pts)
-                                        - f_star(seen_pts)) ** 2)))
-        poly_band.append(float(np.mean((fit.poly.eval(band_pts)
-                                        - f_star(band_pts)) ** 2)))
-        relu_band.append(float(np.mean((nets.forward(relu, band_pts)
-                                        - f_star(band_pts)) ** 2)))
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        cfg = cli.resolve_config({"experiment": "fig1", "seed": seed, "fig1.resolution": 2})
+        assert cli.run_fig1(cfg, out) == 0
+        with open(out / "mse.csv", newline="") as fh:
+            mse = {(r["model"], r["region"]): float(r["mse"]) for r in csv.DictReader(fh)}
+        seen_mses.append(mse["poly20", "seen"])
+        poly_band.append(mse["poly20", "band"])
+        relu_band.append(mse["relu_net", "band"])
     seen_ok = float(np.median(seen_mses)) <= 1e-3
     band_ok = float(np.median(poly_band)) <= 0.5 * float(np.median(relu_band))
     elapsed = time.perf_counter() - start

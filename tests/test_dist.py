@@ -218,6 +218,11 @@ class TestBlocks:
         assert got.tobytes() == d.sample(n, seed, path).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BLOCK_DENSITIES))
+    def test_empty_sample_keeps_the_dimension(self, name):
+        d = BLOCK_DENSITIES[name]
+        assert d.sample(0, 3, (1,)).shape == (0, d.dim)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_DENSITIES))
     def test_block_size_must_be_positive(self, name):
         with pytest.raises(ValueError):
             BLOCK_DENSITIES[name].blocks(10, 0, (), 0)

@@ -15,6 +15,67 @@ def legendre_projection_1d(fn, degree, a, b):
     return 0.5 * np.einsum("i,i,ij->j", weights, fn(x), tab)
 
 
+def term_loop_eval(p, pts):
+    """Reference evaluation one term at a time, and sum_alpha |c_alpha phi_alpha(x)|."""
+    tables = poly._axis_tables(pts, p.degree, p.basis, p.box)
+    out, scale = np.zeros(pts.shape[0]), np.zeros(pts.shape[0])
+    for alpha, c in p.coeffs.items():
+        term = np.full(pts.shape[0], c)
+        for i, e in enumerate(alpha):
+            if e:
+                term *= tables[i][:, e]
+        out += term
+        scale += np.abs(term)
+    return out, scale
+
+
+def loop_design_matrix(X, degree, basis, box):
+    """Column-by-column design matrix, one axis factor at a time."""
+    alphas = poly.multi_indices(X.shape[1], degree)
+    tables = poly._axis_tables(X, degree, basis, box)
+    A = np.empty((X.shape[0], len(alphas)))
+    for j, alpha in enumerate(alphas):
+        col = np.ones(X.shape[0])
+        for i, e in enumerate(alpha):
+            if e:
+                col *= tables[i][:, e]
+        A[:, j] = col
+    return A
+
+
+def loop_region_gram(degree, basis_box, region, subtract=None):
+    """Entry-by-entry region Gram over the lower triangle, mirrored."""
+    lo_b, hi_b = (np.asarray(v, dtype=float) for v in basis_box)
+    dim = lo_b.size
+    alphas = poly.multi_indices(dim, degree)
+    nodes, weights = leggauss(6 * (degree + 1))
+
+    def assemble(lo_r, hi_r):
+        grams = []
+        for i in range(dim):
+            pts = 0.5 * (nodes + 1.0) * (hi_r[i] - lo_r[i]) + lo_r[i]
+            tab = poly._legendre_values(pts, degree, lo_b[i], hi_b[i])
+            grams.append((tab.T * (0.5 * weights)) @ tab)
+        G = np.empty((len(alphas), len(alphas)))
+        for a, alpha in enumerate(alphas):
+            for b, beta in enumerate(alphas[: a + 1]):
+                v = 1.0
+                for i in range(dim):
+                    v *= grams[i][alpha[i], beta[i]]
+                G[a, b] = G[b, a] = v
+        return G
+
+    lo_r, hi_r = (np.asarray(v, dtype=float) for v in region)
+    vol = float(np.prod(hi_r - lo_r))
+    G = vol * assemble(lo_r, hi_r)
+    if subtract is not None:
+        lo_s, hi_s = (np.asarray(v, dtype=float) for v in subtract)
+        vol_s = float(np.prod(hi_s - lo_s))
+        G = G - vol_s * assemble(lo_s, hi_s)
+        vol -= vol_s
+    return G / vol
+
+
 class TestEval:
     def test_product_monomial(self):
         p = poly.MultiPoly(2, 2, poly.MONOMIAL, {(1, 1): 1.0})
@@ -39,17 +100,89 @@ class TestEval:
         with pytest.raises(ValueError):
             p.eval([1.0, 2.0, 3.0])
 
+    def test_negative_exponent_rejected(self):
+        # index -1 used to read the top column of the value table: x^degree
+        with pytest.raises(ValueError, match=r"\(-1, 2\)"):
+            poly.MultiPoly(2, 2, poly.MONOMIAL, {(-1, 2): 1.0})
+
+    @given(dim=st.integers(1, 3), degree=st.integers(0, 8),
+           basis=st.sampled_from([poly.MONOMIAL, poly.BOX]),
+           seed=st.integers(0, 2 ** 32 - 1), sparse=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_value_does_not_depend_on_the_batch(self, dim, degree, basis, seed, sparse):
+        rng = np.random.default_rng(seed)
+        alphas = poly.multi_indices(dim, degree)
+        if sparse:
+            keep = rng.choice(len(alphas), min(3, len(alphas)), replace=False)
+            alphas = [alphas[k] for k in keep]
+        p = poly.MultiPoly(dim, degree, basis, dict(zip(alphas, rng.standard_normal(len(alphas)))),
+                           (np.full(dim, -1.0), np.full(dim, 2.0)))
+        rows = poly._EVAL_ROWS
+        pts = rng.uniform(-1.5, 2.5, size=(rows + 2, dim))
+        # one point first, last of the first block and first of the second
+        pts[rows - 1] = pts[rows] = pts[0]
+        whole = p.eval(pts)
+        assert whole[0] == whole[rows - 1] == whole[rows] == p.eval(pts[0])
+        assert p.eval(pts[:7]).tobytes() == whole[:7].tobytes()
+        assert p.eval(pts[rows - 3:]).tobytes() == whole[rows - 3:].tobytes()
+        ref, scale = term_loop_eval(p, pts)
+        assert np.all(np.abs(whole - ref) <= 1e-13 * scale)
+
+    def test_empty_batch(self):
+        p = poly.MultiPoly(2, 1, poly.MONOMIAL, {(1, 0): 1.0})
+        assert p.eval(np.empty((0, 2))).shape == (0,)
+
+
+class TestTensorKernel:
+    @pytest.mark.parametrize("basis", [poly.MONOMIAL, poly.BOX])
+    @pytest.mark.parametrize("dim,degree", [(1, 20), (2, 20), (3, 20), (3, 7)])
+    def test_design_matrix_matches_column_loop(self, basis, dim, degree):
+        rng = np.random.default_rng(dim * 100 + degree)
+        box = (rng.uniform(-2.0, 0.0, dim), rng.uniform(0.5, 2.0, dim))
+        X = rng.uniform(box[0], box[1], size=(40, dim))
+        A, alphas = poly.design_matrix(X, degree, basis, box)
+        assert alphas == poly.multi_indices(dim, degree)
+        assert A.tobytes() == loop_design_matrix(X, degree, basis, box).tobytes()
+
+    @pytest.mark.parametrize("dim,degree", [(1, 20), (2, 20), (2, 3), (3, 9)])
+    @pytest.mark.parametrize("subtract", [False, True])
+    def test_region_gram_matches_entry_loop(self, dim, degree, subtract):
+        rng = np.random.default_rng(dim * 100 + degree)
+        lo = rng.uniform(-1.0, 0.0, dim)
+        basis_box = (lo, lo + rng.uniform(0.5, 2.0, dim))
+        region = (basis_box[0] - 1.0, basis_box[1] + rng.uniform(0.5, 1.5, dim))
+        inner = basis_box if subtract else None
+        G = poly.box_region_gram(degree, basis_box, region, subtract=inner)
+        assert G.tobytes() == loop_region_gram(degree, basis_box, region, inner).tobytes()
+        assert np.array_equal(G, G.T)
+
+    def test_box_design_matrix_needs_a_box(self):
+        with pytest.raises(ValueError, match="box"):
+            poly.design_matrix(np.zeros((3, 2)), 2, poly.BOX)
+
+    def test_unknown_basis_rejected(self):
+        with pytest.raises(ValueError, match="unknown basis"):
+            poly.design_matrix(np.zeros((3, 2)), 2, "chebyshev")
+
 
 class TestBasisConversion:
-    @pytest.mark.parametrize("dim,degree", [(1, 8), (2, 6), (3, 4)])
-    def test_round_trip_preserves_evaluation(self, dim, degree):
-        rng = np.random.default_rng(7)
+    @given(dim=st.integers(1, 3), degree=st.integers(0, 6),
+           basis=st.sampled_from([poly.MONOMIAL, poly.BOX]),
+           lo=st.lists(st.floats(-2.0, 1.0), min_size=3, max_size=3),
+           width=st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_preserves_evaluation(self, dim, degree, basis, lo, width, seed):
+        # monomial -> box -> monomial, or box -> monomial -> box
+        rng = np.random.default_rng(seed)
+        box = (np.array(lo[:dim]), np.array(lo[:dim]) + np.array(width[:dim]))
         alphas = poly.multi_indices(dim, degree)
-        p = poly.MultiPoly(dim, degree, poly.MONOMIAL,
-                           dict(zip(alphas, rng.standard_normal(len(alphas)))))
-        box = (np.full(dim, -1.5), np.full(dim, 2.0))
-        back = p.to_box(box).to_monomial()
-        pts = rng.uniform(-1.5, 2.0, size=(100, dim))
+        p = poly.MultiPoly(dim, degree, basis,
+                           dict(zip(alphas, rng.standard_normal(len(alphas)))), box)
+        back = (p.to_box(box).to_monomial() if basis == poly.MONOMIAL
+                else p.to_monomial().to_box(box))
+        assert back.basis == basis
+        pts = rng.uniform(box[0], box[1], size=(100, dim))
         ref = p.eval(pts)
         np.testing.assert_allclose(back.eval(pts), ref,
                                    rtol=1e-9, atol=1e-9 * np.abs(ref).max())
@@ -213,6 +346,12 @@ class TestSerialization:
         q = poly.load_poly(path)
         pts = np.random.default_rng(0).uniform(0, 1, size=(20, 2))
         np.testing.assert_allclose(q.eval(pts), p.eval(pts), rtol=1e-12)
+
+    def test_negative_exponent_in_file_rejected(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("# basis=monomial\n0 0 1.0\n-1 2 1.0\n")
+        with pytest.raises(ValueError, match=r"\(-1, 2\)"):
+            poly.load_poly(path)
 
     def test_graded_lex_order_in_file(self, tmp_path):
         p = poly.MultiPoly(2, 2, poly.MONOMIAL,
