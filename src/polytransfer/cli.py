@@ -14,8 +14,11 @@ the CSVs byte for byte (all randomness flows from the single seed).
 The output root can be overridden with the POLYTRANSFER_OUT env var.
 
 Each runner imports the modules it uses: a process loads (and, without
-cached bytecode, compiles) only the code its run needs, and scipy only
-where a run evaluates a normal CDF, a Gaussian log-density or a quadrature.
+cached bytecode, compiles) only the code its run needs.  No default run
+loads scipy: normal masses and Gaussian log-densities are closed forms in
+``math`` and numpy.  Two paths outside the defaults import it lazily: the
+``ndtri`` inverse-CDF fallback of ``dist.TruncatedGaussian`` (masses below
+1e-3) and the quadrature of ``dist.ProductBridge``.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .mc import McEstimate, McSpec, mean_and_stderr
 from .rng import Tag, make_rng
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 # Mass floors below which truncated sampling refuses to run.
 REJECTION_FALLBACK_ACCEPTANCE = 1e-3
@@ -80,6 +81,8 @@ def rowwise_matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     1-D density, a scalar feature) it is a single product, the same bits as
     the matmul.
     """
+    if m.shape[0] == 1:
+        return a * m[0]
     cols = []
     for j in range(m.shape[1]):
         col = a[..., 0] * m[0, j]
@@ -223,10 +226,8 @@ class Gaussian(Density):
         self.label = f"gaussian(dim={self.dim})"
 
     def log_pdf(self, x):
-        from scipy.linalg import solve_triangular
-
         pts = _as_points(x, self.dim)
-        y = solve_triangular(self._chol, (pts - self.mean).T, lower=True).T
+        y = np.linalg.solve(self._chol, (pts - self.mean).T).T
         return self._log_norm - 0.5 * np.sum(y * y, axis=1)
 
     def pdf(self, x):
@@ -721,14 +722,20 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
     return McEstimate(value, stderr)
 
 
+def normal_interval_mass(za: float, zb: float) -> float:
+    """Standard normal mass of [za, zb]; right of the mean it takes the upper
+    tail, where Phi(zb) - Phi(za) would cancel."""
+    if za > 0:
+        return 0.5 * (math.erfc(za / _SQRT_2) - math.erfc(zb / _SQRT_2))
+    return 0.5 * (math.erfc(-zb / _SQRT_2) - math.erfc(-za / _SQRT_2))
+
+
 def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None) -> McEstimate:
     """Mass of ``trunc_set`` under N(mean, cov).
 
-    Exact (CDF differences) for 1-D interval unions, any-dimension
+    Exact (``normal_interval_mass``) for 1-D interval unions, any-dimension
     halfspaces, and boxes with diagonal covariance; Monte Carlo otherwise.
     """
-    from scipy.special import ndtr
-
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:
@@ -740,22 +747,22 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
     if isinstance(trunc_set, IntervalUnion):
         if dim != 1:
             raise DimensionMismatchError("interval unions are 1-D sets")
-        sd = math.sqrt(float(cov[0, 0]))
+        mu, sd = float(mean[0]), math.sqrt(float(cov[0, 0]))
         total = 0.0
         for a, b in trunc_set.intervals:
-            total += ndtr((b - mean[0]) / sd) - ndtr((a - mean[0]) / sd)
-        return McEstimate(float(min(max(total, 0.0), 1.0)), 0.0)
+            total += normal_interval_mass((a - mu) / sd, (b - mu) / sd)
+        return McEstimate(min(max(total, 0.0), 1.0), 0.0)
     if isinstance(trunc_set, Halfspace):
         w = np.asarray(trunc_set.normal, dtype=float)
         mu = float(w @ mean)
         sd = math.sqrt(float(w @ cov @ w))
-        return McEstimate(float(ndtr((trunc_set.offset - mu) / sd)), 0.0)
+        return McEstimate(normal_interval_mass(-math.inf, (trunc_set.offset - mu) / sd), 0.0)
     if isinstance(trunc_set, BoxSet) and np.allclose(cov, np.diag(np.diag(cov))):
         sd = np.sqrt(np.diag(cov))
-        lo = np.asarray(trunc_set.lo, dtype=float)
-        hi = np.asarray(trunc_set.hi, dtype=float)
-        per = ndtr((hi - mean) / sd) - ndtr((lo - mean) / sd)
-        return McEstimate(float(np.prod(per)), 0.0)
+        z_lo = (np.asarray(trunc_set.lo, dtype=float) - mean) / sd
+        z_hi = (np.asarray(trunc_set.hi, dtype=float) - mean) / sd
+        return McEstimate(math.prod(map(normal_interval_mass, z_lo.tolist(), z_hi.tolist())),
+                          0.0)
 
     mc = mc or McSpec(200_000, seed=0)
     g = Gaussian(mean, cov)

@@ -305,20 +305,30 @@ def abs_moment_uniform_1d(coeffs, a: float, b: float) -> float:
 
 
 def _antiderivative_and_roots(coeffs):
-    from numpy.polynomial import Polynomial
+    """p's antiderivative coefficients and real roots as plain floats: the bits
+    of ``Polynomial(coeffs).integ()`` and ``.roots()``, with no object per draw."""
+    from numpy.polynomial.polynomial import polyroots
 
-    p = Polynomial(np.asarray(coeffs, dtype=float))
-    return p.integ(), [r.real for r in p.roots() if abs(r.imag) < 1e-12]
+    c = np.asarray(coeffs, dtype=float)
+    roots = [r.real for r in polyroots(c).tolist() if abs(r.imag) < 1e-12]
+    return [0.0] + [v / (j + 1) for j, v in enumerate(c.tolist())], roots
+
+
+def _horner(coeffs, x: float) -> float:
+    acc = 0.0
+    for v in reversed(coeffs):
+        acc = acc * x + v
+    return acc
 
 
 def _abs_moment(anti, roots, a: float, b: float) -> float:
-    """E|p| under U([a, b]) from p's antiderivative and its real roots."""
+    """E|p| under U([a, b]) from p's antiderivative coefficients and real roots."""
     cuts = [a] + sorted(r for r in roots if a < r < b) + [b]
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-15:
             continue
-        total += abs(anti(hi) - anti(lo))
+        total += abs(_horner(anti, hi) - _horner(anti, lo))
     return total / (b - a)
 
 

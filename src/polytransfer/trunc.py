@@ -34,7 +34,6 @@ from .transfer import HolderPair, TransferReport
 
 EXACT_MASS_FLOOR = 1e-6
 MC_MASS_FLOOR = 1e-3
-_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -93,16 +92,12 @@ def truncated_normal_moments(mu: float, intervals) -> tuple[float, float, float]
         m1 = mu m0 + phi(z_a) - phi(z_b)
         m2 = (mu^2 + 1) m0 + 2 mu (phi(z_a) - phi(z_b)) + z_a phi(z_a) - z_b phi(z_b).
 
-    The mass of an interval right of the mean comes from the upper tail,
-    where the CDF difference would cancel.
+    The mass is ``dist.normal_interval_mass``, tail-accurate on either side.
     """
     m0 = m1 = m2 = 0.0
     for a, b in intervals:
         za, zb = a - mu, b - mu
-        if za > 0:
-            mass = 0.5 * (math.erfc(za / _SQRT_2) - math.erfc(zb / _SQRT_2))
-        else:
-            mass = 0.5 * (math.erfc(-zb / _SQRT_2) - math.erfc(-za / _SQRT_2))
+        mass = dist.normal_interval_mass(za, zb)
         pa, za_pa = _pdf_terms(za)
         pb, zb_pb = _pdf_terms(zb)
         m0 += mass

@@ -363,9 +363,24 @@ def modules_loaded_by(code: str, cwd) -> set:
     return set(proc.stdout.splitlines()[-1].split())
 
 
+# Small configs that take every default run's code path.
+SMALL_RUNS = {
+    "fig1": "fig1.n_samples = 64\nfig1.degree = 4\nfig1.epochs = 2\nfig1.resolution = 4\n",
+    "fig2": ("fig2.n_samples = 64\nfig2.degree = 4\nfig2.epochs = 2\nfig2.poly_epochs = 2\n"
+             "fig2.resolution = 4\n"),
+    "gaussian1d-coeffs": "",
+    "truncated": "truncated.thresholds = -1 1\ntruncated.grid_points = 5\n",
+    "boolean-transfer": "boolean.n = 10\n",
+    "gotu": ("gotu.n = 10\ngotu.horizon = 0.5\ngotu.scaling_ns = 8 10\n"
+             "gotu.scaling_seeds = 1\ngotu.scaling_horizon = 0.5\n"),
+    "icl-shift": "icl.steps = 5\nicl.batch = 8\nicl.mus = 1\nicl.mc = 1000\n",
+    "transfer-ensemble": "ensemble.count = 20\n",
+}
+
+
 class TestImports:
     """A CLI process loads only what its run uses (scipy alone takes
-    ~0.25 s to import)."""
+    ~0.35 s and ~20 MiB to import)."""
 
     def test_cli_import_loads_no_experiment_module_or_scipy(self, tmp_path):
         loaded = modules_loaded_by("import polytransfer.cli", tmp_path)
@@ -373,11 +388,14 @@ class TestImports:
         assert not loaded & EXPERIMENT_MODULES
         assert "hashlib" not in loaded   # only derived streams import it
 
-    def test_boolean_run_loads_no_scipy(self, tmp_path):
+    def test_small_runs_cover_every_experiment(self):
+        assert set(SMALL_RUNS) == set(cli.RUNNERS)
+
+    @pytest.mark.parametrize("experiment", sorted(SMALL_RUNS))
+    def test_run_loads_no_scipy(self, tmp_path, experiment):
         (tmp_path / "c.txt").write_text(
-            f"experiment = boolean-transfer\nout = {tmp_path / 'run'}\nboolean.n = 10\n")
+            f"experiment = {experiment}\nout = {tmp_path / 'run'}\n" + SMALL_RUNS[experiment])
         loaded = modules_loaded_by(
             "from polytransfer import cli\n"
             "assert cli.main(['run', 'c.txt']) == 0", tmp_path)
-        assert "polytransfer.boolean" in loaded
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}

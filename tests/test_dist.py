@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -243,6 +243,7 @@ class TestBlocks:
 
     @given(rows=st.integers(1, 40), k=st.integers(1, 9), cols=st.integers(1, 5),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(rows=7, k=1, cols=3, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_rowwise_matmul_rows_do_not_depend_on_row_count(self, rows, k, cols, seed):
         rng = np.random.default_rng(seed)
@@ -250,6 +251,9 @@ class TestBlocks:
         m = rng.standard_normal((k, cols))
         whole = dist.rowwise_matmul(a, m)
         np.testing.assert_allclose(whole, a @ m, rtol=1e-12, atol=1e-12)
+        terms = [sum((a[:, t] * m[t, j] for t in range(1, k)), a[:, 0] * m[0, j])
+                 for j in range(cols)]
+        assert whole.tobytes() == np.stack(terms, axis=-1).tobytes()
         for i in range(rows):
             assert dist.rowwise_matmul(a[i:i + 1], m).tobytes() == whole[i:i + 1].tobytes()
 
@@ -350,6 +354,21 @@ class TestGaussianMass:
         hs = dist.Halfspace((1.0, 1.0), 0.0)
         m = dist.gaussian_mass([0.0, 0.0], np.eye(2), hs)
         assert m.value == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("thr", [6.0, 8.0, 9.0])
+    @pytest.mark.parametrize("kind", ["interval", "box", "halfspace"])
+    def test_upper_tail_does_not_cancel(self, thr, kind):
+        # Phi(inf) - Phi(thr) loses the tail: 7% off at thr = 8, 0 at thr = 9
+        s = {"interval": dist.IntervalUnion(((thr, math.inf),)),
+             "box": dist.BoxSet((thr,), (math.inf,)),
+             "halfspace": dist.Halfspace((-1.0,), -thr)}[kind]
+        want = 0.5 * math.erfc(thr / math.sqrt(2.0))
+        got = dist.gaussian_mass([0.0], [[1.0]], s).value
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_far_tail_truncation_has_mass(self):
+        tg = dist.TruncatedGaussian([0.0], [[1.0]], dist.IntervalUnion(((9.0, math.inf),)))
+        assert tg.mass == pytest.approx(0.5 * math.erfc(9.0 / math.sqrt(2.0)), rel=1e-14, abs=0.0)
 
     def test_box_diag_cov_vs_mc(self):
         box = dist.BoxSet((-1.0, -1.0), (1.0, 0.5))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -273,6 +275,53 @@ class TestEnsemble:
         for d in (1, 2, 3):
             worst = transfer.ensemble_max_ratio((0.0, 1.0), (0.0, 3.0), d, 200, 0)
             assert worst <= self.FROZEN_K * 3.0
+
+
+@st.composite
+def ensemble_polys(draw):
+    """Degree 1-6 coefficient vectors: iid draws, or products of real factors
+    (repeated roots allowed) and conjugate-pair factors."""
+    degree = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        coeff = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+        return draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    pairs = draw(st.integers(0, degree // 2))
+    c = np.array([draw(st.sampled_from([-2.0, -1.0, 0.5, 3.0]))])
+    for r in draw(st.lists(st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.0, 2.5]),
+                           min_size=degree - 2 * pairs, max_size=degree - 2 * pairs)):
+        c = np.polynomial.polynomial.polymul(c, [-r, 1.0])
+    for _ in range(pairs):
+        re, im = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 2.0))
+        c = np.polynomial.polynomial.polymul(c, [re * re + im * im, -2.0 * re, 1.0])
+    return c.tolist()
+
+
+def polynomial_abs_moment(c, a, b):
+    """E|p| under U([a, b]) through numpy Polynomial objects."""
+    p = Polynomial(np.asarray(c, dtype=float))
+    anti = p.integ()
+    roots = [r.real for r in p.roots() if abs(r.imag) < 1e-12]
+    cuts = [a] + sorted(r for r in roots if a < r < b) + [b]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo >= 1e-15:
+            total += abs(anti(hi) - anti(lo))
+    return total / (b - a)
+
+
+class TestAntiderivativeAndRoots:
+    @given(c=ensemble_polys(), xs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_numpy_polynomial(self, c, xs):
+        p = Polynomial(np.asarray(c, dtype=float))
+        anti, roots = transfer._antiderivative_and_roots(c)
+        want = np.array([p.integ()(x) for x in xs])
+        assert np.array([transfer._horner(anti, x) for x in xs]).tobytes() == want.tobytes()
+        # float equality: Polynomial maps a root r to 0.0 + r, so a zero root
+        # can differ in sign only
+        assert roots == [r.real for r in p.roots() if abs(r.imag) < 1e-12]
+        for a, b in ((0.0, 1.0), (0.0, 3.0), (-2.0, 0.5)):
+            assert transfer.abs_moment_uniform_1d(c, a, b) == polynomial_abs_moment(c, a, b)
 
 
 class TestReportCsv:
