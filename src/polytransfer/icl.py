@@ -230,16 +230,15 @@ def _gram_times(X, y, xq, proj, proj_x):
     return np.concatenate([top, np.einsum("bm,bm->b", y, proj)[:, None]], axis=1)
 
 
-def loss_gradient(pd: PromptDistribution, params: LSAParams, batch: int,
-                  seed: int, path: tuple):
-    """Exact gradient of the batch loss through the closed-form prediction.
+def loss_gradient(params: LSAParams, X, xq, W):
+    """Loss and exact gradient on the prompt batch (X, xq, W) through the
+    closed-form prediction.
 
     d yhat / d r = (E E^T) v / rho and d yhat / d W_KQ = (E E^T) r x_tilde^T
     / rho; both Gram products come from the projections of the prediction.
     """
-    X, xq, W = _sample_batch(pd, batch, seed, path)
     yhat, targets, y, rc, cv, rx, xv = _batch_predictions(X, xq, W, params)
-    resid = 2.0 * (yhat - targets) / (batch * params.rho)
+    resid = 2.0 * (yhat - targets) / (X.shape[0] * params.rho)
     n = X.shape[2]
     grad_pv = np.zeros_like(params.w_pv)
     grad_pv[-1] = resid @ _gram_times(X, y, xq, cv, xv)
@@ -266,15 +265,19 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
               record_every: int = 100, divergence: float = 1e6):
     """Mini-batch gradient descent on the population loss.
 
-    Returns (params, trace).  Gaussian feature distributions are the
+    Returns (params, trace).  Step i trains on the i-th ``batch`` prompts of
+    one stream, ``_sample_batch(pd, steps * batch, seed, (Tag.STEP,))``,
+    drawn a batch at a time; the final loss is estimated at
+    ``(Tag.STEP, steps)``.  Gaussian feature distributions are the
     recommended (not enforced) setting for convergence.  Aborts when the
     loss passes the divergence threshold.
     """
     n = pd.dim
     params = LSAParams.random(n, float(pd.length), seed, init_scale)
     trace = TrainTrace()
-    for step in range(steps):
-        loss, g_pv, g_kq = loss_gradient(pd, params, batch, seed, (Tag.STEP, step))
+    prompts = _prompt_blocks(pd, steps * batch, seed, (Tag.STEP,), batch)
+    for step, (X, xq, W) in enumerate(prompts):
+        loss, g_pv, g_kq = loss_gradient(params, X, xq, W)
         if not math.isfinite(loss) or loss > divergence:
             raise TrainingDivergedError(trace)
         gnorm = math.sqrt(float(np.sum(g_pv ** 2) + np.sum(g_kq ** 2)))

@@ -20,6 +20,7 @@ RELU = "relu"
 POLY = "poly"
 DEFAULT_SIZES = (2, 20, 20, 20, 20, 20, 10, 1)
 ADAGRAD_EPS = 1e-8
+_FORWARD_ROWS = 1024  # rows per block in forward
 
 
 class DivergenceError(RuntimeError):
@@ -73,17 +74,22 @@ def mlp_init(sizes=DEFAULT_SIZES, activation: str = RELU, seed: int = 0,
 
 
 def forward(m: MLP, X) -> np.ndarray:
-    """Batch forward pass; the last layer is affine."""
-    a = np.asarray(X, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.shape[1] != m.sizes[0]:
-        raise ValueError(f"input dim {a.shape[1]} != {m.sizes[0]}")
+    """Batch forward pass, ``_FORWARD_ROWS`` rows at a time into one output
+    array, so memory stays bounded; the last layer is affine."""
+    x = np.asarray(X, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    if x.shape[1] != m.sizes[0]:
+        raise ValueError(f"input dim {x.shape[1]} != {m.sizes[0]}")
     last = len(m.weights) - 1
-    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = a @ w + b
-        a = z if i == last else _act(z, m.activation)
-    return a[:, 0]
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _FORWARD_ROWS):
+        a = x[start:start + _FORWARD_ROWS]
+        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+            z = a @ w + b
+            a = z if i == last else _act(z, m.activation)
+        out[start:start + _FORWARD_ROWS] = a[:, 0]
+    return out
 
 
 def backprop(m: MLP, X, y):

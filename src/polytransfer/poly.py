@@ -11,6 +11,8 @@ One kernel, ``_tensor_columns``, forms every product over axes of per-axis
 tables (design matrices, evaluation, region Grams, basis conversion).
 ``MultiPoly.eval`` runs it on fixed-size row blocks and sums each row on its
 own: memory stays bounded and a point's value does not depend on its batch.
+A regularized ``fit_regression`` sums its normal equations over the same
+blocks, so it never holds the whole design matrix.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _axis_tables(pts: np.ndarray, degree: int, basis: str, box):
 
 
 _KERNEL_ROWS = 32  # rows per gather in _tensor_columns; sizes its only temporary
-_EVAL_ROWS = 1024  # rows per block in MultiPoly.eval
+_EVAL_ROWS = 1024  # rows per block in MultiPoly.eval and in regularized fits
 
 
 def _tensor_columns(tables, alphas) -> np.ndarray:
@@ -267,17 +269,20 @@ def fit_regression(X, y, degree: int, basis: str = MONOMIAL, ridge: float = 0.0,
 
     Minimizes sum (p(x_i) - y_i)^2 + ridge * ||coeffs||^2 (+ c' P c when a
     PSD ``penalty_matrix`` P in graded-lex coefficient order is supplied,
-    e.g. a ``box_region_gram`` scaled by a strength).  With ridge = 0 and no
-    penalty, a rank-deficient system raises ``RankDeficientError``
+    e.g. a ``box_region_gram`` scaled by a strength).  A regularized fit
+    solves the normal equations, summing A'A and A'y over blocks of
+    ``_EVAL_ROWS`` design rows, so the whole design matrix is never formed.
+    With ridge = 0 and no penalty the fit is ``lstsq`` on the full design
+    matrix, and a rank-deficient system raises ``RankDeficientError``
     suggesting a positive ridge.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    A, alphas = design_matrix(X, degree, basis, box)
-    n, nb = A.shape
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     if ridge == 0 and penalty_matrix is None:
+        A, alphas = design_matrix(X, degree, basis, box)
+        n, nb = A.shape
         if n < nb:
             raise RankDeficientError(
                 f"{n} samples for {nb} basis functions; add data or use ridge > 0")
@@ -286,14 +291,19 @@ def fit_regression(X, y, degree: int, basis: str = MONOMIAL, ridge: float = 0.0,
             raise RankDeficientError(
                 f"normal equations are rank deficient (rank {rank} < {nb}); use ridge > 0")
     else:
-        G = A.T @ A + ridge * np.eye(nb)
+        alphas = multi_indices(X.shape[1], degree)
+        G, rhs = ridge * np.eye(len(alphas)), np.zeros(len(alphas))
+        for start in range(0, X.shape[0], _EVAL_ROWS):
+            rows = slice(start, start + _EVAL_ROWS)
+            A = _tensor_columns(_axis_tables(X[rows], degree, basis, box), alphas)
+            G += A.T @ A
+            rhs += A.T @ y[rows]
         if penalty_matrix is not None:
-            G = G + np.asarray(penalty_matrix, dtype=float)
-        beta = np.linalg.solve(G, A.T @ y)
+            G += np.asarray(penalty_matrix, dtype=float)
+        beta = np.linalg.solve(G, rhs)
     coeffs = {alpha: float(b) for alpha, b in zip(alphas, beta)}
     p = MultiPoly(X.shape[1], degree, basis, coeffs, box)
-    resid = float(np.mean((A @ beta - y) ** 2))
-    return FitResult(p, resid)
+    return FitResult(p, float(np.mean((p.eval(X) - y) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from polytransfer import dist, icl, poly
 from polytransfer.mc import McEstimate, McSpec, mean_and_stderr
+from polytransfer.rng import Tag, make_rng
 
 
 def random_params(n, rho, seed, scale=0.5):
@@ -166,7 +167,8 @@ class TestTraining:
     def test_gradient_matches_finite_differences(self):
         pd = icl.PromptDistribution.gaussian(2, 4)
         params = random_params(2, 4.0, 0, scale=0.3)
-        _, g_pv, g_kq = icl.loss_gradient(pd, params, 128, 1, ())
+        batch = icl._sample_batch(pd, 128, 1, ())
+        _, g_pv, g_kq = icl.loss_gradient(params, *batch)
         eps = 1e-6
         for mat_name, grad in (("w_pv", g_pv), ("w_kq", g_kq)):
             for idx in [(0, 0), (2, 1), (1, 2)]:
@@ -174,8 +176,8 @@ class TestTraining:
                 getattr(plus, mat_name)[idx] += eps
                 minus = params.copy()
                 getattr(minus, mat_name)[idx] -= eps
-                lp = icl.loss_gradient(pd, plus, 128, 1, ())[0]
-                lm = icl.loss_gradient(pd, minus, 128, 1, ())[0]
+                lp = icl.loss_gradient(plus, *batch)[0]
+                lm = icl.loss_gradient(minus, *batch)[0]
                 fd = (lp - lm) / (2 * eps)
                 if abs(fd) > 1e-10:
                     assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -188,8 +190,8 @@ class TestTraining:
         length, batch, seed, path = 5, 12, 3, (40,)
         pd = icl.PromptDistribution.gaussian(n, length)
         params = random_params(n, float(length), 2, scale=0.4)
-        loss, g_pv, g_kq = icl.loss_gradient(pd, params, batch, seed, path)
         X, xq, W = icl._sample_batch(pd, batch, seed, path)
+        loss, g_pv, g_kq = icl.loss_gradient(params, X, xq, W)
         unit = np.eye(n + 1)
         ref_loss, ref_pv, ref_kq = 0.0, np.zeros(n + 1), np.zeros((n + 1, n + 1))
         for b in range(batch):
@@ -211,6 +213,36 @@ class TestTraining:
         np.testing.assert_array_equal(g_pv[:-1], 0.0)
         np.testing.assert_allclose(g_pv[-1], ref_pv, rtol=1e-12, atol=1e-12 * np.abs(ref_pv).max())
         np.testing.assert_allclose(g_kq, ref_kq, rtol=1e-12, atol=1e-12 * np.abs(ref_kq).max())
+
+    def test_step_i_trains_on_the_ith_batch_of_one_stream(self):
+        pd = icl.PromptDistribution.gaussian(2, 4)
+        steps, batch, seed = 5, 16, 3
+        params, trace = icl.train_lsa(pd, steps=steps, rate=0.0, batch=batch, seed=seed,
+                                      record_every=1)
+        X, xq, W = icl._sample_batch(pd, steps * batch, seed, (Tag.STEP,))
+        expected = [icl.loss_gradient(params, X[s:s + batch], xq[s:s + batch],
+                                      W[s:s + batch])[0]
+                    for s in range(0, steps * batch, batch)]
+        assert trace.losses[:steps] == expected
+        final = icl.population_loss(pd, params, McSpec(4096, seed, (Tag.STEP, steps)))
+        assert trace.losses[-1] == final.value
+
+    def test_generator_builds_do_not_grow_with_steps(self, monkeypatch):
+        builds = []
+
+        def counting(seed, *path):
+            builds.append(path)
+            return make_rng(seed, *path)
+
+        monkeypatch.setattr(dist, "make_rng", counting)
+        monkeypatch.setattr(icl, "make_rng", counting)
+        pd = icl.PromptDistribution.gaussian(1, 5)
+        counts = []
+        for steps in (2, 40):
+            builds.clear()
+            icl.train_lsa(pd, steps=steps, rate=1e-3, batch=8, seed=0)
+            counts.append(len(builds))
+        assert counts[0] == counts[1]
 
     def test_zero_rate_leaves_params(self):
         pd = icl.PromptDistribution.gaussian(1, 3)

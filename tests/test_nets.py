@@ -38,6 +38,49 @@ class TestForward:
         assert hidden_units == 110
 
 
+def dense_forward(m, X):
+    """Oracle: every layer applied to all rows in one pass."""
+    a, last = X, len(m.weights) - 1
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+        z = a @ w + b
+        a = z if i == last else nets._act(z, m.activation)
+    return a[:, 0]
+
+
+def figure_net(activation):
+    scale = 0.5 if activation == nets.POLY else 1.0
+    return nets.mlp_init(activation=activation, seed=0, path=(Tag.INIT, 0), init_scale=scale)
+
+
+class TestBlockedForward:
+    """forward evaluates fixed blocks of rows into one output array."""
+
+    @pytest.mark.parametrize("activation", [nets.RELU, nets.POLY])
+    @pytest.mark.parametrize("n", [1, 700, nets._FORWARD_ROWS, 2 * nets._FORWARD_ROWS + 333])
+    def test_equals_its_blocks_and_the_dense_pass(self, activation, n):
+        m = figure_net(activation)
+        X = make_rng(3).uniform(-1.5, 1.5, size=(n, 2))
+        out = nets.forward(m, X)
+        size = nets._FORWARD_ROWS
+        blocks = np.concatenate([nets.forward(m, X[s:s + size]) for s in range(0, n, size)])
+        assert out.shape == (n,) and out.tobytes() == blocks.tobytes()
+        np.testing.assert_allclose(out, dense_forward(m, X), rtol=1e-9)
+
+    @pytest.mark.parametrize("activation", [nets.RELU, nets.POLY])
+    def test_peak_memory_is_bounded(self, activation):
+        import tracemalloc
+
+        m = figure_net(activation)
+        X = make_rng(4).uniform(-5.0, 5.0, size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            nets.forward(m, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20   # all 20,000 rows per layer at once took ~12.6 MiB
+
+
 class TestBackprop:
     @pytest.mark.parametrize("activation", [nets.POLY, nets.RELU])
     def test_gradient_matches_finite_differences(self, activation):

@@ -262,6 +262,62 @@ class TestFitRegression:
         np.testing.assert_allclose(fit.poly.eval(pts), truth.eval(pts), atol=1e-8)
 
 
+FIG1_SEEN = ([0.0, -1.0], [1.0, 1.0])
+
+
+def figure_fit_problem(n, seed=0):
+    """fig1's degree-20 box-basis fit with its ridge and band penalty, on n points."""
+    X = dist.UniformBox(*FIG1_SEEN).sample(n, seed)
+    y = np.sin(2 * np.pi * X[:, 0]) * np.sin(2 * np.pi * X[:, 1])
+    gram = poly.box_region_gram(20, FIG1_SEEN, ([-1.0, -2.0], [2.0, 2.0]), subtract=FIG1_SEEN)
+    return X, y, dict(degree=20, basis=poly.BOX, ridge=1e-10, box=FIG1_SEEN,
+                      penalty_matrix=3e-3 * n * gram)
+
+
+def dense_normal_equations(X, y, degree, basis, ridge, box, penalty_matrix):
+    """Oracle: the regularized normal equations from the whole design matrix."""
+    A, _ = poly.design_matrix(X, degree, basis, box)
+    return np.linalg.solve(A.T @ A + ridge * np.eye(A.shape[1]) + penalty_matrix, A.T @ y)
+
+
+class TestBlockedFit:
+    """A regularized fit sums its normal equations over blocks of design rows."""
+
+    @pytest.mark.parametrize("n", [500, poly._EVAL_ROWS, 2 * poly._EVAL_ROWS + 451])
+    def test_matches_dense_normal_equations(self, n):
+        X, y, kw = figure_fit_problem(n)
+        fit = poly.fit_regression(X, y, **kw)
+        beta = np.array([fit.poly.coeffs[a] for a in poly.multi_indices(2, 20)])
+        ref = dense_normal_equations(X, y, **kw)
+        assert np.linalg.norm(beta - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_ridge_only_monomial_fit_matches_dense(self):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, size=(3 * poly._EVAL_ROWS + 7, 3))
+        y = np.cos(X).sum(axis=1)
+        fit = poly.fit_regression(X, y, 4, ridge=1e-3)
+        beta = np.array([fit.poly.coeffs[a] for a in poly.multi_indices(3, 4)])
+        ref = dense_normal_equations(X, y, 4, poly.MONOMIAL, 1e-3, None, 0.0)
+        assert np.linalg.norm(beta - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_residual_is_mean_square_of_evaluated_fit(self):
+        X, y, kw = figure_fit_problem(2 * poly._EVAL_ROWS + 451)
+        fit = poly.fit_regression(X, y, **kw)
+        assert fit.residual_mse == float(np.mean((fit.poly.eval(X) - y) ** 2))
+
+    def test_peak_memory_is_bounded(self):
+        import tracemalloc
+
+        X, y, kw = figure_fit_problem(20_000)
+        tracemalloc.start()
+        try:
+            poly.fit_regression(X, y, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20   # the whole 20,000 x 231 design took ~42 MiB
+
+
 class TestMcFunctional:
     def test_constant(self):
         g = dist.Gaussian([0.0], [[1.0]])
