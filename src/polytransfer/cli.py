@@ -14,11 +14,10 @@ the CSVs byte for byte (all randomness flows from the single seed).
 The output root can be overridden with the POLYTRANSFER_OUT env var.
 
 Each runner imports the modules it uses: a process loads (and, without
-cached bytecode, compiles) only the code its run needs.  No default run
-loads scipy: normal masses and Gaussian log-densities are closed forms in
-``math`` and numpy.  Two paths outside the defaults import it lazily: the
-``ndtri`` inverse-CDF fallback of ``dist.TruncatedGaussian`` (masses below
-1e-3) and the quadrature of ``dist.ProductBridge``.
+cached bytecode, compiles) only the code its run needs.  The package needs
+numpy alone: normal masses and Gaussian log-densities are closed forms in
+``math`` and numpy, and the truncated-Gaussian sampler takes its normal
+quantile from the standard library's ``statistics.NormalDist``.
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ from .rng import Tag, make_rng
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
-# Mass floors below which truncated sampling refuses to run.
+# Mass floor below which rejection sampling (sets that reduce to no intervals) refuses to run.
 REJECTION_FALLBACK_ACCEPTANCE = 1e-3
-REJECTION_FAILURE_ACCEPTANCE = 1e-6
+# Half-width of a bounding box, in standard deviations per coordinate.
+BOX_SIGMAS = 8.0
 
 
 class DimensionMismatchError(ValueError):
@@ -159,6 +160,21 @@ class BoxSet(TruncationSet):
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
 
+def intervals_of(s: TruncationSet):
+    """The intervals of a 1-D interval union, halfspace or box; None for any other set."""
+    if isinstance(s, IntervalUnion):
+        return s.intervals
+    if isinstance(s, Halfspace) and len(s.normal) == 1:
+        a = float(s.normal[0])
+        if a > 0:
+            return ((-math.inf, s.offset / a),)
+        if a < 0:
+            return ((s.offset / a, math.inf),)
+    if isinstance(s, BoxSet) and len(s.lo) == 1:
+        return ((float(s.lo[0]), float(s.hi[0])),)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Density catalog
 # ---------------------------------------------------------------------------
@@ -193,7 +209,7 @@ class Density:
         full = self.sample(n, seed, path)
         return (full[i * size:i * size + m] for i, m in enumerate(sizes))
 
-    def bounding_box(self, k_sigma: float = 8.0):
+    def bounding_box(self):
         """(lo, hi) box covering essentially all of the mass."""
         raise NotImplementedError
 
@@ -238,9 +254,9 @@ class Gaussian(Density):
         return (self.mean + rowwise_matmul(rng.standard_normal((m, self.dim)), self._chol.T)
                 for m in _block_sizes(n, size))
 
-    def bounding_box(self, k_sigma=8.0):
+    def bounding_box(self):
         sd = np.sqrt(np.diag(self.cov))
-        return self.mean - k_sigma * sd, self.mean + k_sigma * sd
+        return self.mean - BOX_SIGMAS * sd, self.mean + BOX_SIGMAS * sd
 
 
 class UniformBox(Density):
@@ -267,7 +283,7 @@ class UniformBox(Density):
         return (self.lo + rng.random((m, self.dim)) * (self.hi - self.lo)
                 for m in _block_sizes(n, size))
 
-    def bounding_box(self, k_sigma=8.0):
+    def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
 
 
@@ -294,8 +310,8 @@ class Product(Density):
                       for i, f in enumerate(self.factors)]
         return (np.column_stack([b[:, 0] for b in cols]) for cols in zip(*per_factor))
 
-    def bounding_box(self, k_sigma=8.0):
-        los, his = zip(*(f.bounding_box(k_sigma) for f in self.factors))
+    def bounding_box(self):
+        los, his = zip(*(f.bounding_box() for f in self.factors))
         return np.concatenate(los), np.concatenate(his)
 
 
@@ -304,7 +320,9 @@ class TruncatedGaussian(Density):
 
     The normalizing mass is computed exactly for 1-D interval unions,
     halfspaces, and boxes with diagonal covariance; otherwise by Monte Carlo
-    with a fixed internal seed so the pdf stays deterministic.
+    with a fixed internal seed so the pdf stays deterministic.  A 1-D set
+    that ``intervals_of`` reduces draws by an exact inverse CDF at any mass;
+    any other set draws by rejection.
     """
 
     def __init__(self, mean, cov, trunc_set: TruncationSet, mass_mc: McSpec | None = None):
@@ -324,16 +342,12 @@ class TruncatedGaussian(Density):
         return _maybe_scalar(np.where(inside, vals / self.mass, 0.0), x)
 
     def sample(self, n, seed, path=()):
-        if self.mass < REJECTION_FAILURE_ACCEPTANCE:
-            raise RejectionBudgetError(
-                f"acceptance rate {self.mass:.3g} below {REJECTION_FAILURE_ACCEPTANCE}"
-            )
+        if self.dim == 1 and (intervals := intervals_of(self.trunc_set)):
+            return self._sample_inverse_cdf(n, seed, path, intervals)
         if self.mass < REJECTION_FALLBACK_ACCEPTANCE:
-            if self.dim == 1 and isinstance(self.trunc_set, IntervalUnion):
-                return self._sample_inverse_cdf(n, seed, path)
             raise RejectionBudgetError(
                 f"acceptance rate {self.mass:.3g} below {REJECTION_FALLBACK_ACCEPTANCE} "
-                "and no inverse-CDF fallback for this set"
+                "and the set reduces to no intervals"
             )
         out = np.empty((n, self.dim))
         filled = 0
@@ -349,31 +363,44 @@ class TruncatedGaussian(Density):
             filled += take
         raise RejectionBudgetError("rejection sampling budget exhausted")
 
-    def _sample_inverse_cdf(self, n, seed, path):
-        from scipy.special import ndtr, ndtri
+    def _sample_inverse_cdf(self, n, seed, path, intervals):
+        """Exact draws on intervals by the inverse CDF, at any mass.
+
+        Each interval is split at the mean and its upper half reflected, so
+        every piece [lo, hi] (standard units, hi <= 0) inverts a lower-tail
+        mass, which ``normal_interval_mass`` and ``NormalDist.inv_cdf``
+        (Wichura's AS241) keep to full relative accuracy however deep the
+        tail.  A draw picks a piece by its mass, then inverts
+        Phi(lo) + u (Phi(hi) - Phi(lo)) with u in the open interval (0, 1).
+        """
+        from statistics import NormalDist   # only truncated draws pay for the import
 
         mu = float(self.base.mean[0])
         sd = math.sqrt(float(self.base.cov[0, 0]))
-        ints = self.trunc_set.intervals
-        cdf_lo = np.array([ndtr((a - mu) / sd) for a, _ in ints])
-        cdf_hi = np.array([ndtr((b - mu) / sd) for _, b in ints])
-        weights = cdf_hi - cdf_lo
-        total = weights.sum()
+        pieces = []   # (lo, hi, sign, a, b): [lo, hi] in standard units, hi <= 0
+        for a, b in intervals:
+            za, zb = (a - mu) / sd, (b - mu) / sd
+            if za < 0:
+                pieces.append((za, min(zb, 0.0), 1.0, a, b))
+            if zb > 0:
+                pieces.append((-zb, -max(za, 0.0), -1.0, a, b))
+        lo, hi, sign, a, b = np.array(pieces).T
+        below = np.array([normal_interval_mass(-math.inf, z) for z in lo])
+        mass = np.array([normal_interval_mass(*z) for z in zip(lo, hi)])
         rng = make_rng(seed, *path)
-        u = rng.random(n) * total
-        idx = np.searchsorted(np.cumsum(weights), u, side="left")
-        idx = np.clip(idx, 0, len(ints) - 1)
-        offset = u - np.concatenate(([0.0], np.cumsum(weights)))[idx]
-        q = cdf_lo[idx] + offset
-        return (ndtri(np.clip(q, 1e-300, 1 - 1e-16)) * sd + mu).reshape(-1, 1)
+        k = rng.choice(mass.size, n, p=mass / mass.sum())   # never a piece of mass 0
+        u = (rng.integers(0, 1 << 52, n) + 0.5) / (1 << 52)
+        # a piece of subnormal mass can round its quantile to 0
+        q = np.maximum(below[k] + u * mass[k], np.finfo(float).smallest_subnormal)
+        z = np.fromiter(map(NormalDist().inv_cdf, q.tolist()), float, n)
+        # rounding may step past an end of the piece; the set is closed
+        return np.clip(mu + sd * sign[k] * z, a[k], b[k]).reshape(-1, 1)
 
-    def bounding_box(self, k_sigma=8.0):
-        lo, hi = self.base.bounding_box(k_sigma)
-        if self.dim == 1 and isinstance(self.trunc_set, IntervalUnion):
-            a = min(a for a, _ in self.trunc_set.intervals)
-            b = max(b for _, b in self.trunc_set.intervals)
-            lo = np.maximum(lo, a if math.isfinite(a) else lo)
-            hi = np.minimum(hi, b if math.isfinite(b) else hi)
+    def bounding_box(self):
+        lo, hi = self.base.bounding_box()
+        if self.dim == 1 and (intervals := intervals_of(self.trunc_set)):
+            lo = np.maximum(lo, intervals[0][0])
+            hi = np.minimum(hi, intervals[-1][1])
         return lo, hi
 
 
@@ -443,8 +470,8 @@ class GaussianBridge(Density):
         out[:, 0] += x1
         return self._unrotate(out)
 
-    def bounding_box(self, k_sigma=8.0):
-        lo, hi = self.base.bounding_box(k_sigma)
+    def bounding_box(self):
+        lo, hi = self.base.bounding_box()
         hi = hi.copy()
         hi[0] += self.gamma
         if self.rotation is None:
@@ -503,17 +530,9 @@ class ProductBridge(Density):
             rest *= np.asarray(f.pdf(pts[:, i]), dtype=float).reshape(-1)
         return _maybe_scalar(first * rest / self.z_const, x)
 
-    def _factor1_mass_below0(self) -> float:
-        from scipy.integrate import quad
-
-        lo, hi = self.factors[0].bounding_box(10.0)
-        return quad(lambda t: float(np.asarray(self.factors[0].pdf(t))), float(lo[0]), 0.0,
-                    limit=200)[0]
-
     def sample(self, n, seed, path=()):
         rng = make_rng(seed, *path)
-        m_left = self._factor1_mass_below0()
-        p_left = m_left / self.z_const
+        p_left = _mass_below0(self.factors[0]) / self.z_const
         p_mid = self.gamma * self._phi1_0 / self.z_const
         u = rng.random(n)
         x1 = np.empty(n)
@@ -539,12 +558,28 @@ class ProductBridge(Density):
         return np.column_stack([x1] + [f.sample(n, seed, (*path, Tag.FACTOR, i))[:, 0]
                                        for i, f in enumerate(self.factors[1:], start=1)])
 
-    def bounding_box(self, k_sigma=8.0):
-        los, his = zip(*(f.bounding_box(k_sigma) for f in self.factors))
+    def bounding_box(self):
+        los, his = zip(*(f.bounding_box() for f in self.factors))
         lo = np.concatenate(los)
         hi = np.concatenate(his)
         hi[0] += self.gamma
         return lo, hi
+
+
+def _mass_below0(f: Density) -> float:
+    """Mass of a 1-D Gaussian, uniform box or interval-reducible truncated
+    Gaussian on (-inf, 0], in closed form."""
+    if isinstance(f, UniformBox):
+        return float(np.clip(-f.lo[0] / (f.hi[0] - f.lo[0]), 0.0, 1.0))
+    if isinstance(f, Gaussian):
+        base, intervals, total = f, ((-math.inf, math.inf),), 1.0
+    elif isinstance(f, TruncatedGaussian) and (intervals := intervals_of(f.trunc_set)):
+        base, total = f.base, f.mass
+    else:
+        raise ValueError(f"no closed-form mass below 0 for the factor {f.label}")
+    mu, sd = float(base.mean[0]), math.sqrt(float(base.cov[0, 0]))
+    return sum(normal_interval_mass((a - mu) / sd, (min(b, 0.0) - mu) / sd)
+               for a, b in intervals if a < 0.0) / total
 
 
 def bridge_1d(mu: float) -> Density:
@@ -603,13 +638,11 @@ class GridSpec:
     """Search grid for ratio sups: bounding box plus per-axis resolution.
 
     When ``box`` is omitted the union of the two densities' bounding boxes
-    (mean +- 8 sd per coordinate) is used and reported with the result.
+    (mean +- ``BOX_SIGMAS`` sd per coordinate) is used and reported with the result.
     """
 
     points_per_dim: int | None = None
     box: tuple | None = None
-    refine: bool = True
-    k_sigma: float = 8.0
 
 
 @dataclass
@@ -669,8 +702,8 @@ def density_ratio_sup(P: Density, Q: Density, grid: GridSpec | None = None,
         lo = np.atleast_1d(np.asarray(grid.box[0], dtype=float))
         hi = np.atleast_1d(np.asarray(grid.box[1], dtype=float))
     else:
-        plo, phi = P.bounding_box(grid.k_sigma)
-        qlo, qhi = Q.bounding_box(grid.k_sigma)
+        plo, phi = P.bounding_box()
+        qlo, qhi = Q.bounding_box()
         lo = np.minimum(plo, qlo)
         hi = np.maximum(phi, qhi)
     m = grid.points_per_dim or _default_points(P.dim)
@@ -679,7 +712,7 @@ def density_ratio_sup(P: Density, Q: Density, grid: GridSpec | None = None,
 
     axes = _grid_axes(lo, hi, m)
     best, arg = _eval_ratio_on_grid(P, Q, axes)
-    if math.isfinite(best) and grid.refine and arg is not None:
+    if math.isfinite(best) and arg is not None:
         # one refinement pass: a factor-10 finer grid around the argmax cell
         widths = (hi - lo) / (m - 1)
         sub_lo = np.maximum(lo, arg - widths)

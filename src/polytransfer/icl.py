@@ -267,8 +267,8 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
 
     Returns (params, trace).  Step i trains on the i-th ``batch`` prompts of
     one stream, ``_sample_batch(pd, steps * batch, seed, (Tag.STEP,))``,
-    drawn a batch at a time; the final loss is estimated at
-    ``(Tag.STEP, steps)``.  Gaussian feature distributions are the
+    drawn a batch at a time; the final loss is estimated at ``(Tag.FINAL,)``,
+    a path no training draw reaches.  Gaussian feature distributions are the
     recommended (not enforced) setting for convergence.  Aborts when the
     loss passes the divergence threshold.
     """
@@ -285,7 +285,7 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
             trace.append(step, loss, gnorm)
         params.w_pv -= rate * g_pv
         params.w_kq -= rate * g_kq
-    final = population_loss(pd, params, McSpec(max(4096, batch), seed, (Tag.STEP, steps)))
+    final = population_loss(pd, params, McSpec(max(4096, batch), seed, (Tag.FINAL,)))
     trace.append(steps, final.value, 0.0)
     return params, trace
 
@@ -341,9 +341,8 @@ def _shift_report(params, source, target, kind, mc, l_p, exponent, constant):
         p_fac, q_fac = pair
         if np.allclose(p_fac.cov, np.eye(p_fac.dim)) and np.allclose(q_fac.cov, np.eye(q_fac.dim)):
             delta = q_fac.mean - p_fac.mean
-            bridge, _ = catalog_coefficient("gaussianNd", 1, mu=delta)
-            z = getattr(bridge, "z_const", 1.0)
-            coefficient = constant * math.exp((exponent + 1) * math.log(z))
+            bridge, z_power = catalog_coefficient("gaussianNd", exponent, mu=delta)
+            coefficient = constant * z_power
             bridge_label = bridge.label
 
     holder = HolderPair(math.inf, 1.0)

@@ -8,7 +8,9 @@ boxes.  Multi-indices are kept in graded lexicographic order throughout,
 including in the text serialization.
 
 One kernel, ``_tensor_columns``, forms every product over axes of per-axis
-tables (design matrices, evaluation, region Grams, basis conversion).
+tables (design matrices, evaluation, region Grams).  Basis conversion runs in
+exact rational arithmetic and rounds to float64 only at the end, so a round
+trip loses little more than storing the intermediate coefficients loses.
 ``MultiPoly.eval`` runs it on fixed-size row blocks and sums each row on its
 own: memory stays bounded and a point's value does not depend on its batch.
 A regularized ``fit_regression`` sums its normal equations over the same
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iter_product
 
 import numpy as np
@@ -49,26 +52,30 @@ def multi_indices(dim: int, degree: int):
     return out
 
 
-def _legendre_monomial_matrix(degree: int, a: float, b: float) -> np.ndarray:
-    """M[k, j] = coefficient of x^j in the k-th orthonormal box polynomial.
+def _legendre_power_tables(degree: int, a: float, b: float):
+    """Exact rational tables (R, Q) between the powers of x and the Legendre
+    polynomials P_k(t), t = (2x - a - b)/(b - a), of one box axis:
+    P_k(t) = sum_j R[k][j] x^j and x^j = sum_k Q[j][k] P_k(t).
 
-    The k-th basis function is sqrt(2k+1) * P_k((2x - a - b)/(b - a)),
-    orthonormal under the uniform probability measure on [a, b].
+    Both are lower triangular, built from the exact binary values of a and b
+    by Bonnet's recursion, in the power basis for R and in the Legendre basis
+    for Q.  The normalization sqrt(2k+1) of the box basis is left out, so the
+    tables stay rational.
     """
-    from numpy.polynomial import Polynomial
-    from numpy.polynomial.legendre import leg2poly
-
-    scale = 2.0 / (b - a)
-    shift = -(a + b) / (b - a)
-    t_of_x = Polynomial([shift, scale])
-    M = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        ck = np.zeros(k + 1)
-        ck[k] = 1.0
-        pk = Polynomial(leg2poly(ck))(t_of_x)  # composition with the affine map
-        coeffs = math.sqrt(2 * k + 1) * pk.coef
-        M[k, : coeffs.size] = coeffs
-    return M
+    a, b = Fraction(a), Fraction(b)
+    shift, scale = -(a + b) / (b - a), 2 / (b - a)  # t = shift + scale * x
+    mid, half = (a + b) / 2, (b - a) / 2  # x = mid + half * t
+    R, Q = [[Fraction(1)]], [[Fraction(1)]]
+    for k in range(degree):
+        # (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}
+        p, prev = R[k] + [0], (R[k - 1] if k else []) + [0, 0]
+        R.append([((2 * k + 1) * (shift * p[j] + (scale * p[j - 1] if j else 0))
+                   - k * prev[j]) / (k + 1) for j in range(k + 2)])
+        # x^{k+1} = mid x^k + half t x^k, t P_l = ((l+1) P_{l+1} + l P_{l-1})/(2l+1)
+        q = [0] + Q[k] + [0, 0]  # q[l + 1] = coefficient of P_l in x^k
+        Q.append([mid * q[l + 1] + half * (l * q[l] / (2 * l - 1) if l else 0)
+                  + half * (l + 1) * q[l + 2] / (2 * l + 3) for l in range(k + 2)])
+    return R, Q
 
 
 def _legendre_values(points: np.ndarray, degree: int, a: float, b: float) -> np.ndarray:
@@ -184,28 +191,39 @@ class MultiPoly:
         if self.basis == MONOMIAL:
             return self
         lo, hi = self.box
-        mats = [_legendre_monomial_matrix(self.degree, lo[i], hi[i]) for i in range(self.dim)]
-        return self._convert(mats, MONOMIAL, None)
+        tables = [_legendre_power_tables(self.degree, lo[i], hi[i])[0] for i in range(self.dim)]
+        return self._convert(tables, MONOMIAL, None)
 
     def to_box(self, box) -> "MultiPoly":
         lo, hi = _as_box(box)
         if self.basis == BOX:
             same = np.array_equal(self.box[0], lo) and np.array_equal(self.box[1], hi)
             return self if same else self.to_monomial().to_box((lo, hi))
-        # x^j = sum_k inv(M)[j, k] phi_k
-        mats = [np.linalg.inv(_legendre_monomial_matrix(self.degree, lo[i], hi[i]))
-                for i in range(self.dim)]
-        return self._convert(mats, BOX, (lo, hi))
+        tables = [_legendre_power_tables(self.degree, lo[i], hi[i])[1] for i in range(self.dim)]
+        return self._convert(tables, BOX, (lo, hi))
 
-    def _convert(self, mats, basis, box):
-        """Coefficients c @ T, T[a, b] = prod_i mats[i][alpha_a[i], beta_b[i]]: row k of
-        the lower-triangular mats[i] expands basis function k of axis i."""
-        alphas = list(self.coeffs)
-        betas = multi_indices(self.dim, self.degree)
-        tables = [np.tril(m)[[a[i] for a in alphas]] for i, m in enumerate(mats)]
-        new = np.array(list(self.coeffs.values())) @ _tensor_columns(tables, betas)
+    def _convert(self, tables, basis, box):
+        """Exact change of basis, rounded to float64 at the end: input term a
+        expands into sum_b prod_i tables[i][a_i][b_i] over b <= a, where the box
+        side is the unnormalized Legendre product phi_a / _box_norm(a)."""
+        acc = {}
+        for a, c in self.coeffs.items():
+            v = Fraction(c * _box_norm(a) if self.basis == BOX else c)
+            rows = [t[e] for t, e in zip(tables, a)]
+            for b in iter_product(*(range(e + 1) for e in a)):
+                term = v
+                for row, j in zip(rows, b):
+                    term *= row[j]
+                acc[b] = acc.get(b, 0) + term
+        new = {b: float(acc[b]) / (_box_norm(b) if basis == BOX else 1.0)
+               for b in sorted(acc, key=grlex_key)}
         return MultiPoly(self.dim, self.degree, basis,
-                         {b: float(v) for b, v in zip(betas, new) if v != 0.0}, box)
+                         {b: v for b, v in new.items() if v != 0.0}, box)
+
+
+def _box_norm(alpha) -> float:
+    """prod_i sqrt(2 alpha_i + 1): the factor from P_alpha to the orthonormal phi_alpha."""
+    return math.sqrt(math.prod(2 * e + 1 for e in alpha))
 
 
 def zero_poly(dim: int, basis: str = MONOMIAL, box=None) -> MultiPoly:

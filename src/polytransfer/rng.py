@@ -17,7 +17,7 @@ import numpy as np
 
 # path components naming the parts of a routine's draws, numbered from 1
 Tag = enum.IntEnum("Tag", "FACTOR ATTEMPT QUERY TASK STEP SOURCE TARGET LOCATION "
-                          "EPOCH NOISE INIT SEEN BAND FULL")
+                          "EPOCH NOISE INIT SEEN BAND FULL FINAL")
 
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:

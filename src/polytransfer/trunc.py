@@ -61,20 +61,6 @@ class TruncatedRegressionInstance:
             raise ValueError("f_star produced a non-finite location")
 
 
-def _intervals_of(s: dist.TruncationSet):
-    if isinstance(s, dist.IntervalUnion):
-        return s.intervals
-    if isinstance(s, dist.Halfspace) and len(s.normal) == 1:
-        a = float(s.normal[0])
-        if a > 0:
-            return ((-math.inf, s.offset / a),)
-        if a < 0:
-            return ((s.offset / a, math.inf),)
-    if isinstance(s, dist.BoxSet) and len(s.lo) == 1:
-        return ((float(s.lo[0]), float(s.hi[0])),)
-    return None
-
-
 def _pdf_terms(z: float) -> tuple[float, float]:
     """(phi(z), z phi(z)) for the N(0, 1) density phi; both 0 at an infinite z."""
     if math.isinf(z):
@@ -109,10 +95,9 @@ def truncated_normal_moments(mu: float, intervals) -> tuple[float, float, float]
 def sample_truncated_normal(mean: float, var: float, s: dist.TruncationSet,
                             n: int, seed: int, path: tuple = ()) -> np.ndarray:
     """Draws from N(mean, var) conditioned on s; all samples land inside s."""
-    mass = float(dist.gaussian_mass([mean], [[var]], s))
-    if mass < EXACT_MASS_FLOOR:
-        raise MassTooSmallError(f"truncation mass {mass:.3g} below {EXACT_MASS_FLOOR}")
     tg = dist.TruncatedGaussian([mean], [[var]], s)
+    if tg.mass < EXACT_MASS_FLOOR:
+        raise MassTooSmallError(f"truncation mass {tg.mass:.3g} below {EXACT_MASS_FLOOR}")
     return tg.sample(n, seed, path)[:, 0]
 
 
@@ -120,7 +105,7 @@ def _per_location_expected_sq(mu: float, c: float, s: dist.TruncationSet,
                               mc: McSpec | None, i: int) -> McEstimate:
     """E[(y - c)^2] for y ~ N(mu, 1) conditioned on s; exact (stderr 0) for
     interval-reducible sets, else the mean of squares drawn at location i's path."""
-    intervals = _intervals_of(s)
+    intervals = dist.intervals_of(s)
     if intervals is not None:
         m0, m1, m2 = truncated_normal_moments(mu, intervals)
         if m0 < EXACT_MASS_FLOOR:
@@ -184,7 +169,7 @@ class TruncatedTransferResult:
 
 def save_instance(inst: TruncatedRegressionInstance, path) -> None:
     """Covariate CSV with a one-line truncation-set descriptor up top."""
-    intervals = _intervals_of(inst.trunc_set)
+    intervals = dist.intervals_of(inst.trunc_set)
     if intervals is None:
         raise ValueError("only interval-reducible sets serialize")
     desc = " ".join(f"{a!r}:{b!r}" for a, b in intervals)
@@ -215,8 +200,7 @@ def truncated_transfer_check(model, inst: TruncatedRegressionInstance,
                              mc: McSpec | None = None) -> TruncatedTransferResult:
     """Report both directions of the truncated/full MSE comparison."""
     alpha = alpha_mass_min(inst)
-    floor = EXACT_MASS_FLOOR if _intervals_of(inst.trunc_set) is not None else MC_MASS_FLOOR
-    if alpha < max(floor, 1e-3):
+    if alpha < MC_MASS_FLOOR:
         raise MassTooSmallError(f"alpha = {alpha:.3g} below the usable floor")
     t_est = _truncated_mse_estimate(model, inst, mc)
     t_mse, t_se = t_est.value, t_est.stderr

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from polytransfer import dist
+from polytransfer import dist, trunc
 from polytransfer.mc import McSpec
 from polytransfer.rng import Tag, make_rng
 
@@ -162,7 +162,7 @@ class TestSampling:
         assert ks <= 2.0 / math.sqrt(n)
 
     def test_inverse_cdf_fallback_small_mass(self):
-        s = dist.IntervalUnion(((4.0, 4.5),))  # mass ~ 3e-5 < 1e-3
+        s = dist.IntervalUnion(((4.0, 4.5),))  # mass ~ 3e-5
         tg = dist.TruncatedGaussian([0.0], [[1.0]], s)
         draws = tg.sample(2000, 9)[:, 0]
         assert np.all((draws >= 4.0) & (draws <= 4.5))
@@ -172,11 +172,68 @@ class TestSampling:
         ks = np.max(np.abs(np.sort(u) - np.arange(1, 2001) / 2000))
         assert ks <= 2.0 / math.sqrt(2000)
 
-    def test_rejection_budget_error(self):
-        s = dist.IntervalUnion(((7.0, 7.2),))  # mass ~ 1e-12 < 1e-6
+    def test_far_tail_interval_is_exact(self):
+        s = dist.IntervalUnion(((7.0, 7.2),))  # mass ~ 1e-12
         tg = dist.TruncatedGaussian([0.0], [[1.0]], s)
+        n = 10_000
+        draws = tg.sample(n, 0)[:, 0]
+        assert np.all(s.contains(draws))
+        # norm.sf keeps its relative accuracy here, where 1 - norm.cdf is 0
+        u = (norm.sf(7.0) - norm.sf(draws)) / (norm.sf(7.0) - norm.sf(7.2))
+        ks = np.max(np.abs(np.sort(u) - np.arange(1, n + 1) / n))
+        assert ks <= 2.0 / math.sqrt(n)
+
+    def test_nd_small_mass_still_raises(self):
+        box = dist.BoxSet((3.0, 3.0), (4.0, 4.0))  # mass ~ 1.8e-6, no intervals in 2-D
+        tg = dist.TruncatedGaussian([0.0, 0.0], np.eye(2), box)
+        assert tg.mass < dist.REJECTION_FALLBACK_ACCEPTANCE
         with pytest.raises(dist.RejectionBudgetError):
             tg.sample(10, 0)
+
+    @pytest.mark.parametrize("ints", [((6.0, math.inf),), ((30.0, math.inf),),
+                                      ((-math.inf, -30.0),)])
+    def test_one_sided_deep_tail_mean(self, ints):
+        s = dist.IntervalUnion(ints)   # masses ~ 1e-9 and ~ 5e-198
+        n = 100_000
+        draws = dist.TruncatedGaussian([0.0], [[1.0]], s).sample(n, 5)[:, 0]
+        assert np.all(s.contains(draws))
+        m0, m1, m2 = trunc.truncated_normal_moments(0.0, ints)
+        mean = m1 / m0
+        se = math.sqrt((m2 / m0 - mean * mean) / n)
+        assert abs(draws.mean() - mean) < 4.0 * se
+
+    @given(ends=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=4, unique=True),
+           n=st.integers(1, 300), size=st.integers(1, 100),
+           seed=st.integers(0, 2 ** 32 - 1), path=PATHS)
+    @settings(max_examples=100, deadline=None)
+    def test_interval_draws_land_in_the_set(self, ends, n, size, seed, path):
+        ends = sorted(ends)
+        s = dist.IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
+        try:
+            tg = dist.TruncatedGaussian([0.0], [[1.0]], s)
+        except ValueError:   # mass underflows to 0 beyond ~38.5 sd
+            assume(False)
+        draws = tg.sample(n, seed, path)
+        assert draws.shape == (n, 1)
+        assert np.all(s.contains(draws))
+        assert np.concatenate(list(tg.blocks(n, seed, path, size))).tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("factor,lo,points", [
+        (dist.Gaussian([0.3], [[2.0]]), -math.inf, None),
+        (dist.Gaussian([-1.2], [[0.5]]), -math.inf, None),
+        (dist.UniformBox([-1.0], [3.0]), -1.0, None),
+        (dist.TruncatedGaussian([0.2], [[1.5]], dist.IntervalUnion(((-2.0, -0.5), (0.1, 3.0)))),
+         -2.0, [-0.5]),
+        (dist.TruncatedGaussian([0.5], [[1.0]], dist.Halfspace((1.0,), 2.0)), -math.inf, None),
+    ])
+    def test_bridge_mass_below0_matches_quadrature(self, factor, lo, points):
+        ref = quad(lambda t: float(np.asarray(factor.pdf(t))), lo, 0.0, points=points,
+                   epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert dist._mass_below0(factor) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_bridge_mass_below0_needs_a_closed_form(self):
+        with pytest.raises(ValueError):
+            dist._mass_below0(dist.bridge_1d(1.0))
 
     def test_bridge_sampler_matches_quadrature_mean(self):
         b = dist.bridge_1d(2.0)

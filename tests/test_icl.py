@@ -224,8 +224,24 @@ class TestTraining:
                                       W[s:s + batch])[0]
                     for s in range(0, steps * batch, batch)]
         assert trace.losses[:steps] == expected
-        final = icl.population_loss(pd, params, McSpec(4096, seed, (Tag.STEP, steps)))
+        final = icl.population_loss(pd, params, McSpec(4096, seed, (Tag.FINAL,)))
         assert trace.losses[-1] == final.value
+
+    @pytest.mark.parametrize("steps", [3, 4])
+    def test_final_loss_reads_no_training_stream(self, monkeypatch, steps):
+        # the final loss drew at (STEP, steps): at 3 and 4 that is the training
+        # stream's (STEP, QUERY) or (STEP, TASK) path
+        builds = []
+
+        def recording(seed, *path):
+            builds.append((seed, path))
+            return make_rng(seed, *path)
+
+        monkeypatch.setattr(dist, "make_rng", recording)
+        monkeypatch.setattr(icl, "make_rng", recording)
+        icl.train_lsa(icl.PromptDistribution.gaussian(1, 3), steps=steps, rate=0.0, batch=4,
+                      seed=0)
+        assert len(builds) == len(set(builds))
 
     def test_generator_builds_do_not_grow_with_steps(self, monkeypatch):
         builds = []

@@ -73,3 +73,12 @@ def test_ddof_only_in_mc_module():
                  for i, line in enumerate(path.read_text().splitlines(), start=1)
                  if re.search(r"\bddof\s*=", line)]
     assert offenders == []
+
+
+def test_no_scipy_in_src():
+    """The package runs on numpy alone; scipy serves only the tests."""
+    src = Path(polytransfer.__file__).parent
+    offenders = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "scipy" in line]
+    assert offenders == []
