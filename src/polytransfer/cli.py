@@ -13,11 +13,14 @@ configuration next to the outputs, and a rerun from that copy reproduces
 the CSVs byte for byte (all randomness flows from the single seed).
 The output root can be overridden with the POLYTRANSFER_OUT env var.
 
-Each runner imports the modules it uses: a process loads (and, without
-cached bytecode, compiles) only the code its run needs.  The package needs
-numpy alone: normal masses and Gaussian log-densities are closed forms in
-``math`` and numpy, and the truncated-Gaussian sampler takes its normal
-quantile from the standard library's ``statistics.NormalDist``.
+Each runner imports the modules it uses, numpy among them: a process loads
+(and, without cached bytecode, compiles) only the code its run needs.  So
+``list``, ``--help``, the usage message and every ``ConfigError`` load no
+numpy; ``run`` parses, resolves and writes the config before its runner
+imports numpy.  The package needs numpy alone: normal masses and Gaussian
+log-densities are closed forms in ``math`` and numpy, and the
+truncated-Gaussian sampler takes its normal quantile from the standard
+library's ``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .mc import McSpec, mean_and_stderr
 from .rng import Tag, make_rng, replicate_seed
@@ -189,6 +190,8 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _region_mse(model, f_star, sampler, mc: McSpec):
+    import numpy as np
+
     pts = sampler(mc.n_samples, mc.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         err = (np.asarray(model(pts)) - f_star(pts)) ** 2
@@ -198,6 +201,8 @@ def _region_mse(model, f_star, sampler, mc: McSpec):
 
 def _plot_values(model, pts, cap: float = 1e12):
     """Model values sanitized for rendering: overflow saturates the scale."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.asarray(model(pts), dtype=float)
     v = np.nan_to_num(v, nan=cap, posinf=cap, neginf=-cap)
@@ -206,6 +211,8 @@ def _plot_values(model, pts, cap: float = 1e12):
 
 def _band_sampler(outer_lo, outer_hi, inner_lo, inner_hi):
     """Uniform on the outer box minus the inner box, by rejection."""
+    import numpy as np
+
     from . import dist
 
     outer, inner = dist.UniformBox(outer_lo, outer_hi), dist.BoxSet(inner_lo, inner_hi)
@@ -308,6 +315,8 @@ def run_figure(cfg: dict, out_dir: Path, *, prefix: str, f_star, seen_lo, seen_h
 
 
 def run_fig1(cfg: dict, out_dir: Path) -> int:
+    import numpy as np
+
     f_star = lambda pts: np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
     return run_figure(cfg, out_dir, prefix="fig1", f_star=f_star,
                       seen_lo=(0.0, -1.0), seen_hi=(1.0, 1.0),
@@ -315,6 +324,8 @@ def run_fig1(cfg: dict, out_dir: Path) -> int:
 
 
 def run_fig2(cfg: dict, out_dir: Path) -> int:
+    import numpy as np
+
     f_star = lambda pts: (np.sin(2 * np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1])
                           + pts[:, 0] * pts[:, 1])
     return run_figure(cfg, out_dir, prefix="fig2", f_star=f_star,
@@ -348,6 +359,8 @@ def run_gaussian1d_coeffs(cfg: dict, out_dir: Path) -> int:
 
 
 def run_truncated(cfg: dict, out_dir: Path) -> int:
+    import numpy as np
+
     from . import dist, transfer, trunc
 
     grid = np.linspace(cfg["truncated.grid_lo"], cfg["truncated.grid_hi"],
@@ -412,6 +425,8 @@ def run_boolean_transfer(cfg: dict, out_dir: Path) -> int:
 
 
 def run_gotu(cfg: dict, out_dir: Path) -> int:
+    import numpy as np
+
     from . import gotu
 
     n, depth = cfg["gotu.n"], int(cfg["gotu.depth"])
@@ -446,6 +461,8 @@ def run_gotu(cfg: dict, out_dir: Path) -> int:
 
 
 def run_icl_shift(cfg: dict, out_dir: Path) -> int:
+    import numpy as np
+
     from . import dist, icl, transfer
 
     n, length = cfg["icl.n"], cfg["icl.length"]

@@ -768,6 +768,8 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
 
     Exact (``normal_interval_mass``) for 1-D interval unions, any-dimension
     halfspaces, and boxes with diagonal covariance; Monte Carlo otherwise.
+    An interval union, halfspace or box of another dimension than the
+    Gaussian's raises ``DimensionMismatchError``.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.asarray(cov, dtype=float)
@@ -776,10 +778,13 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
     if cov.ndim == 1:
         cov = np.diag(cov)
     dim = mean.size
+    set_dim = (1 if isinstance(trunc_set, IntervalUnion)
+               else len(trunc_set.normal) if isinstance(trunc_set, Halfspace)
+               else len(trunc_set.lo) if isinstance(trunc_set, BoxSet) else dim)
+    if set_dim != dim:
+        raise DimensionMismatchError(f"set has dim {set_dim}, Gaussian has dim {dim}")
 
     if isinstance(trunc_set, IntervalUnion):
-        if dim != 1:
-            raise DimensionMismatchError("interval unions are 1-D sets")
         mu, sd = float(mean[0]), math.sqrt(float(cov[0, 0]))
         total = 0.0
         for a, b in trunc_set.intervals:

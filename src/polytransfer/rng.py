@@ -13,15 +13,15 @@ import enum
 import operator
 import struct
 
-import numpy as np
-
 # path components naming the parts of a routine's draws, numbered from 1
 Tag = enum.IntEnum("Tag", "FACTOR ATTEMPT QUERY TASK STEP SOURCE TARGET LOCATION "
                           "EPOCH NOISE INIT SEEN BAND FULL FINAL")
 
 
-def make_rng(seed: int, *path: int) -> np.random.Generator:
-    """The Philox generator of ``seed`` at ``path``, from counter 0."""
+def make_rng(seed: int, *path: int):
+    """The Philox ``numpy.random.Generator`` of ``seed`` at ``path``, from counter 0."""
+    import numpy as np   # imported here so the CLI's text-only commands never load it
+
     words = [operator.index(w) for w in (seed, *path)]
     if not all(0 <= w < 1 << 64 for w in words):
         raise ValueError(f"seed and path components must be in [0, 2**64), got {words}")

@@ -113,10 +113,10 @@ def _per_location_expected_sq(mu: float, c: float, s: dist.TruncationSet,
         return McEstimate((m2 - 2.0 * c * m1 + c * c * m0) / m0, 0.0)
     if mc is None:
         raise ValueError("general truncation sets need a Monte Carlo budget")
-    mass = float(dist.gaussian_mass([mu], [[1.0]], s))
-    if mass < MC_MASS_FLOOR:
-        raise MassTooSmallError(f"truncation mass {mass:.3g} below {MC_MASS_FLOOR}")
-    y = sample_truncated_normal(mu, 1.0, s, mc.n_samples, mc.seed, (*mc.path, Tag.LOCATION, i))
+    tg = dist.TruncatedGaussian([mu], [[1.0]], s)   # one mass estimate, checked and drawn from
+    if tg.mass < MC_MASS_FLOOR:
+        raise MassTooSmallError(f"truncation mass {tg.mass:.3g} below {MC_MASS_FLOOR}")
+    y = tg.sample(mc.n_samples, mc.seed, (*mc.path, Tag.LOCATION, i))[:, 0]
     return mean_and_stderr((y - c) ** 2)
 
 

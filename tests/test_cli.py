@@ -399,3 +399,99 @@ class TestImports:
             "from polytransfer import cli\n"
             "assert cli.main(['run', 'c.txt']) == 0", tmp_path)
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+    @pytest.mark.parametrize("code", [
+        "import polytransfer.cli",
+        "assert cli.main(['list']) == 0",
+        "assert cli.main([]) == 2",
+        "try:\n    cli.main(['--help'])\nexcept SystemExit as e:\n    assert e.code == 0",
+        "assert cli.main(['run', 'unknown-experiment.txt']) == 2",
+        "assert cli.main(['run', 'unknown-key.txt']) == 2",
+    ])
+    def test_text_only_commands_load_no_numpy(self, tmp_path, code):
+        # importing numpy and starting its BLAS threads took half of a `list` process
+        (tmp_path / "unknown-experiment.txt").write_text("experiment = fig3\n")
+        (tmp_path / "unknown-key.txt").write_text("experiment = fig1\nfig1.width = 3\n")
+        loaded = modules_loaded_by("from polytransfer import cli\n" + code, tmp_path)
+        assert "numpy" not in loaded
+
+
+# Calls that share a sample on purpose, as (caller, callee) function names:
+# every call from the caller into the callee is one call site.
+# - verify_transfer reads both Renyi divergences against a bridge from one
+#   bridge sample;
+# - fig2's two nets train on one epoch stream, so they see the same batches.
+SHARED_SAMPLES = {("verify_transfer", "renyi_divergence"), ("run_figure", "train")}
+
+
+def audit_streams(monkeypatch, action, shared=SHARED_SAMPLES) -> dict:
+    """Run ``action`` with every module's ``make_rng`` binding recorded.
+
+    Returns {(seed, path): call sites} for the (seed, path) pairs that more
+    than one call site built.  A call site is the chain of polytransfer
+    frames, outermost first, as (module, function, line); a loop that
+    rebuilds one stream from one line is one call site.
+    """
+    from polytransfer import rng
+
+    for name in sorted(EXPERIMENT_MODULES):
+        __import__(name)
+    real, pkg = rng.make_rng, str(Path(polytransfer.__file__).parent)
+    builds = {}
+
+    def recording(seed, *path):
+        frames, f = [], sys._getframe(1)
+        while f is not None:
+            if f.f_code.co_filename.startswith(pkg):
+                frames.append((Path(f.f_code.co_filename).stem, f.f_code.co_name, f.f_lineno))
+            f = f.f_back
+        frames.reverse()
+        site = tuple((m, fn, None if (fn, inner[1]) in shared else line)
+                     for (m, fn, line), inner in zip(frames, frames[1:] + [(None,) * 3]))
+        builds.setdefault((int(seed), tuple(map(int, path))), set()).add(site)
+        return real(seed, *path)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("polytransfer") and getattr(module, "make_rng", None) is real:
+            monkeypatch.setattr(module, "make_rng", recording)
+    action()
+    monkeypatch.undo()
+    return {key: sites for key, sites in builds.items() if len(sites) > 1}
+
+
+AUDITED_RUNS = [(e, "") for e in sorted(SMALL_RUNS)] + [
+    ("icl-shift", f"icl.steps = {steps}\n") for steps in range(1, 5)]
+
+
+class TestStreamAudit:
+    """No two call sites of a run build the same generator (seed, path)."""
+
+    @pytest.mark.parametrize("experiment, extra", AUDITED_RUNS)
+    def test_run_builds_no_stream_twice(self, tmp_path, monkeypatch, experiment, extra):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"experiment = {experiment}\nout = {tmp_path / 'run'}\n"
+                       + SMALL_RUNS[experiment] + extra)
+        aliased = audit_streams(monkeypatch, lambda: cli.main(["run", str(cfg)]))
+        assert not aliased
+
+    def test_declared_shares_are_the_only_exceptions(self, tmp_path, monkeypatch):
+        from polytransfer import dist, poly, transfer
+        from polytransfer.mc import McSpec
+        from polytransfer.rng import Tag
+
+        p, q = dist.Gaussian([0.0], [[1.0]]), dist.Gaussian([0.5], [[1.0]])
+        f = poly.MultiPoly(1, 2, poly.MONOMIAL, {(0,): 0.5, (2,): 1.0})
+        check = lambda: transfer.verify_transfer(
+            f, p, q, 2, transfer.HolderPair(2.0, 2.0), bridge=dist.bridge_1d(0.5),
+            mc=McSpec(500, 3))
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"experiment = fig2\nout = {tmp_path / 'run'}\n" + SMALL_RUNS["fig2"])
+        figure = lambda: cli.main(["run", str(cfg)])
+        for action, keys, caller in [
+                (check, {(3, ())}, ("transfer", "verify_transfer")),
+                (figure, {(0, (Tag.EPOCH, 0)), (0, (Tag.EPOCH, 1))}, ("cli", "run_figure"))]:
+            assert not audit_streams(monkeypatch, action)
+            undeclared = audit_streams(monkeypatch, action, shared=set())
+            assert set(undeclared) == keys
+            for a, b in undeclared.values():   # the same frames but for the caller's line
+                assert {fa[:2] for fa, fb in zip(a, b) if fa != fb} == {caller}

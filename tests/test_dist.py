@@ -436,6 +436,22 @@ class TestGaussianMass:
         assert mc.stderr > 0
         assert abs(mc.value - exact.value) < 0.05  # nearby covariances
 
+    @pytest.mark.parametrize("kind, g_dim, s_dim", [
+        ("box", 2, 1), ("box", 1, 2), ("box", 3, 2), ("halfspace", 2, 1),
+        ("halfspace", 1, 2), ("halfspace", 3, 2), ("interval", 2, 1)])
+    @pytest.mark.parametrize("cov", ["diagonal", "correlated"])
+    def test_set_of_another_dimension_rejected(self, kind, g_dim, s_dim, cov):
+        # a 1-D box under a 2-D Gaussian used to build with the 1-D mass
+        # squared by broadcasting (0.1165 for [0, 1])
+        s = {"box": dist.BoxSet((0.0,) * s_dim, (1.0,) * s_dim),
+             "halfspace": dist.Halfspace((1.0,) * s_dim, 0.0),
+             "interval": dist.IntervalUnion(((0.0, 1.0),))}[kind]
+        c = np.eye(g_dim) + (0.3 * (1 - np.eye(g_dim)) if cov == "correlated" else 0.0)
+        with pytest.raises(dist.DimensionMismatchError):
+            dist.gaussian_mass(np.zeros(g_dim), c, s)
+        with pytest.raises(dist.DimensionMismatchError):
+            dist.TruncatedGaussian(np.zeros(g_dim), c, s)
+
 
 class TestBridgeConstruct:
     def test_z_for_sqrt_2pi_shift(self):

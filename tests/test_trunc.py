@@ -258,6 +258,26 @@ class TestTransferCheckStandardErrors:
         assert ests[0] != ests[1]
         assert r.truncated == pytest.approx(np.mean(ests), rel=1e-12)
 
+    def test_each_location_estimates_its_mass_once(self, monkeypatch):
+        # alpha_mass_min estimates each location's mass; the location's own
+        # floor check and its sampler used to estimate the same mass twice more
+        calls, real = [], dist.gaussian_mass
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        inst = trunc.TruncatedRegressionInstance(np.zeros((3, 1)), lambda x: 0.0,
+                                                 AbsAtLeastHalf())
+        monkeypatch.setattr(dist, "gaussian_mass", counting)
+        r = trunc.truncated_transfer_check(lambda x: 0.0, inst, mc=McSpec(2000, 5))
+        monkeypatch.undo()
+        assert len(calls) == 6
+        ests = [np.mean(trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 2000, 5,
+                                                      (Tag.LOCATION, i)) ** 2)
+                for i in range(3)]
+        assert r.truncated == np.mean(ests)   # the same draws, bit for bit
+
     def test_interval_set_is_exact_with_or_without_a_budget(self):
         inst = one_point_instance(0.0, HALF_LINE)
         exact = trunc.truncated_transfer_check(lambda x: 0.3, inst)
