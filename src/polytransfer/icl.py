@@ -36,7 +36,11 @@ from .rng import Tag, make_rng
 from .transfer import HolderPair, TransferReport, catalog_coefficient
 
 DEFAULT_SHIFT_EXPONENT = 10  # degree of the fixed-parameter loss polynomial
-POPULATION_BLOCK = 8192      # prompts drawn and evaluated at a time by population_loss
+# Prompts drawn and evaluated at a time by population_loss and the targets' shared
+# pass: at 20 examples a (block, 20) temporary is 160 KiB, so one block's temporaries
+# stay in a 2 MiB L2 cache.  8,192 takes ~1.5x as long; 2,048 runs as fast but peaks
+# 1 MiB higher next to the squares the shared pass holds for every target.
+POPULATION_BLOCK = 1024
 
 
 class TrainingDivergedError(RuntimeError):
@@ -164,17 +168,32 @@ def build_h(E_data: np.ndarray, x_query: np.ndarray, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _prompt_blocks(pd: PromptDistribution, m: int, seed: int, path: tuple, size: int):
-    """m prompts, ``size`` at a time: features at ``path``, queries and weights at QUERY, TASK."""
-    n, N = pd.dim, pd.length
-    return ((X.reshape(-1, N, n), xq, W)
-            for X, xq, W in zip(pd.p_x.blocks(m * N, seed, path, size * N),
-                                pd.p_x_query.blocks(m, seed, (*path, Tag.QUERY), size),
-                                pd.p_h.blocks(m, seed, (*path, Tag.TASK), size)))
+def _prompt_blocks(pds, m: int, seed: int, path: tuple, size: int):
+    """m prompts of each distribution in ``pds``, ``size`` at a time, as one list of
+    (X, xq, W) per block: features at ``path``, queries and weights at QUERY, TASK.
+
+    A factor object that several distributions share (at the same prompt
+    length) is drawn once per block; each distribution sees the bits it
+    would draw alone.
+    """
+    streams = {}
+
+    def stream(density, count, *tags):
+        key = (id(density), count, tags)
+        if key not in streams:
+            streams[key] = density.blocks(m * count, seed, (*path, *tags), size * count)
+        return key
+
+    keys = [(stream(pd.p_x, pd.length), stream(pd.p_x_query, 1, Tag.QUERY),
+             stream(pd.p_h, 1, Tag.TASK)) for pd in pds]
+    for drawn in zip(*streams.values()):
+        block = dict(zip(streams, drawn))
+        yield [(block[kx].reshape(-1, pd.length, pd.dim), block[kq], block[kh])
+               for pd, (kx, kq, kh) in zip(pds, keys)]
 
 
 def _sample_batch(pd: PromptDistribution, batch: int, seed: int, path: tuple):
-    return next(_prompt_blocks(pd, batch, seed, path, batch))
+    return next(_prompt_blocks([pd], batch, seed, path, batch))[0]
 
 
 def _batch_predictions(X, xq, W, params: LSAParams):
@@ -197,8 +216,10 @@ def _batch_predictions(X, xq, W, params: LSAParams):
     r = params.w_pv[-1]
     y = np.einsum("bni,bi->bn", X, W)
     vq = dist.rowwise_matmul(xq, params.w_kq[:, :n].T)    # W_KQ x_tilde
-    rc = dist.rowwise_matmul(X, r[:n, None])[..., 0] + y * r[n]
-    cv = np.einsum("bni,bi->bn", X, vq[:, :n]) + y * vq[:, n:]
+    rc = dist.rowwise_matmul(X, r[:n, None])[..., 0]
+    rc += y * r[n]
+    cv = np.einsum("bni,bi->bn", X, vq[:, :n])
+    cv += y * vq[:, n:]
     rx = dist.rowwise_matmul(xq, r[:n, None])[:, 0]
     xv = np.einsum("bi,bi->b", xq, vq[:, :n])
     yhat = (np.einsum("bm,bm->b", rc, cv) + rx * xv) / params.rho
@@ -214,14 +235,21 @@ def population_loss(pd: PromptDistribution, params: LSAParams,
     drawn and evaluated ``POPULATION_BLOCK`` at a time, so memory stays
     bounded and the estimate has the bits of one whole batch.
     """
-    sq = np.empty(mc.n_samples)
+    return _population_losses([pd], params, mc)[0]
+
+
+def _population_losses(pds, params: LSAParams, mc: McSpec) -> list:
+    """``population_loss`` of each distribution in ``pds``, in one pass over
+    their prompt blocks, so the factor draws they share are made once."""
+    sq = np.empty((len(pds), mc.n_samples))
     start = 0
-    for X, xq, W in _prompt_blocks(pd, mc.n_samples, mc.seed, mc.path, POPULATION_BLOCK):
-        b = xq.shape[0]
-        yhat, targets = _batch_predictions(X, xq, W, params)[:2]
-        sq[start:start + b] = (yhat - targets) ** 2
-        start += b
-    return mean_and_stderr(sq)
+    for block in _prompt_blocks(pds, mc.n_samples, mc.seed, mc.path, POPULATION_BLOCK):
+        stop = start + block[0][1].shape[0]
+        for row, (X, xq, W) in zip(sq, block):
+            yhat, targets = _batch_predictions(X, xq, W, params)[:2]
+            row[start:stop] = (yhat - targets) ** 2
+        start = stop
+    return [mean_and_stderr(row, overwrite=True) for row in sq]
 
 
 def _gram_times(X, y, xq, proj, proj_x):
@@ -275,8 +303,8 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
     n = pd.dim
     params = LSAParams.random(n, float(pd.length), seed, init_scale)
     trace = TrainTrace()
-    prompts = _prompt_blocks(pd, steps * batch, seed, (Tag.STEP,), batch)
-    for step, (X, xq, W) in enumerate(prompts):
+    prompts = _prompt_blocks([pd], steps * batch, seed, (Tag.STEP,), batch)
+    for step, [(X, xq, W)] in enumerate(prompts):
         loss, g_pv, g_kq = loss_gradient(params, X, xq, W)
         if not math.isfinite(loss) or loss > divergence:
             raise TrainingDivergedError(trace)
@@ -314,19 +342,21 @@ def shift_reports(params: LSAParams, source: PromptDistribution, targets,
                   kind: str, mc: McSpec, exponent: int = DEFAULT_SHIFT_EXPONENT,
                   constant: float = 1.0) -> list:
     """``shift_report`` for each target against one source: the source loss
-    is estimated once and shared, so each report equals its single-target
+    is estimated once, and the target losses in one pass that draws the
+    factors the targets share once, so each report equals its single-target
     call."""
     if kind not in SHIFT_KINDS:
         raise ValueError(f"shift kind must be one of {SHIFT_KINDS}")
     l_p = population_loss(source, params, mc.child(Tag.SOURCE))
     if l_p.value <= 3.0 * l_p.stderr:
         raise ValueError("source loss is degenerate (within 3 se of zero)")
-    return [_shift_report(params, source, target, kind, mc, l_p, exponent, constant)
-            for target in targets]
+    targets = list(targets)
+    l_qs = _population_losses(targets, params, mc.child(Tag.TARGET))
+    return [_shift_report(source, target, kind, l_p, l_q, exponent, constant)
+            for target, l_q in zip(targets, l_qs)]
 
 
-def _shift_report(params, source, target, kind, mc, l_p, exponent, constant):
-    l_q = population_loss(target, params, mc.child(Tag.TARGET))
+def _shift_report(source, target, kind, l_p, l_q, exponent, constant):
     coefficient = math.inf
     bridge_label = "none"
     if kind == "task":

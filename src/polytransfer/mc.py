@@ -40,21 +40,28 @@ class McEstimate:
         return self.value
 
 
-def mean_and_stderr(values) -> McEstimate:
+def mean_and_stderr(values, overwrite: bool = False) -> McEstimate:
     """Sample mean and standard error (ddof = 1) of ``values``.
 
-    With fewer than two values the standard error is nan.  Non-finite
-    values, or a spread whose square overflows, give
-    ``McEstimate(inf, nan, flag="overflow")``; no floating-point warning
-    escapes.
+    The bits of ``np.mean(v)`` and ``np.std(v, ddof=1) / sqrt(n)``, with the
+    deviations squared in place in one float64 array: a copy of ``values``,
+    or, with ``overwrite``, the float64 array ``values`` itself, which the
+    caller gives up, so no sample-sized temporary is made.  With fewer than
+    two values the standard error is nan.  Non-finite values, or a spread
+    whose square overflows, give ``McEstimate(inf, nan, flag="overflow")``;
+    no floating-point warning escapes.
     """
     import numpy as np
 
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float) if overwrite else np.array(values, dtype=float)
     n = v.size
+    se = math.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(v))
-        se = float(np.std(v, ddof=1) / math.sqrt(n)) if n >= 2 else math.nan
+        mean = float(np.add.reduce(v, axis=None)) / n
+        if n >= 2:
+            v -= mean
+            v *= v
+            se = math.sqrt(float(np.add.reduce(v, axis=None)) / (n - 1)) / math.sqrt(n)
     if not math.isfinite(mean) or (n >= 2 and not math.isfinite(se)):
         return McEstimate(math.inf, math.nan, flag="overflow")
     return McEstimate(mean, se)

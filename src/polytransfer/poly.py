@@ -11,10 +11,11 @@ One kernel, ``_tensor_columns``, forms every product over axes of per-axis
 tables (design matrices, evaluation, region Grams).  Basis conversion runs in
 exact rational arithmetic and rounds to float64 only at the end, so a round
 trip loses little more than storing the intermediate coefficients loses.
-``MultiPoly.eval`` runs it on fixed-size row blocks and sums each row on its
-own: memory stays bounded and a point's value does not depend on its batch.
-A regularized ``fit_regression`` sums its normal equations over the same
-blocks, so it never holds the whole design matrix.
+``MultiPoly.eval`` runs it on fixed-size row blocks, filled into one buffer
+per call, and sums each row on its own: memory stays bounded and a point's
+value does not depend on its batch.  A regularized ``fit_regression`` sums
+its normal equations over the same blocks, so it never holds the whole
+design matrix.
 """
 
 from __future__ import annotations
@@ -113,20 +114,33 @@ def _axis_tables(pts: np.ndarray, degree: int, basis: str, box):
 
 
 _KERNEL_ROWS = 32  # rows per gather in _tensor_columns; sizes its only temporary
-_EVAL_ROWS = 1024  # rows per block in MultiPoly.eval and in regularized fits
+# rows per block in MultiPoly.eval and in regularized fits: a degree-20 block in
+# two variables (231 columns) is 0.9 MiB, so one block stays in a 2 MiB L2
+_EVAL_ROWS = 512
 
 
-def _tensor_columns(tables, alphas) -> np.ndarray:
+def _tensor_columns(tables, alphas, out=None) -> np.ndarray:
     """out[:, j] = prod_i tables[i][:, alphas[j][i]], the axes multiplied in order; fills
-    one preallocated array a few gathered rows at a time (no whole-matrix temporary)."""
+    the leading rows of the caller's ``out`` (or a new array) a few gathered rows at a
+    time, and returns them (no whole-matrix temporary)."""
     idx = np.array(alphas, dtype=np.intp).reshape(len(alphas), len(tables)).T
-    out = np.empty((tables[0].shape[0], len(alphas)))
-    for start in range(0, out.shape[0], _KERNEL_ROWS):
+    n = tables[0].shape[0]
+    out = np.empty((n, len(alphas))) if out is None else out[:n]
+    for start in range(0, n, _KERNEL_ROWS):
         rows = slice(start, start + _KERNEL_ROWS)
         np.take(tables[0][rows], idx[0], axis=1, out=out[rows])
         for t, e in zip(tables[1:], idx[1:]):
             out[rows] *= t[rows][:, e]
     return out
+
+
+def _design_blocks(pts, degree: int, basis: str, box, alphas):
+    """(rows, A) per block of ``_EVAL_ROWS`` rows of ``pts``, A the block's design
+    matrix, every block filled into the same buffer: use A before the next block."""
+    buf = np.empty((min(_EVAL_ROWS, pts.shape[0]), len(alphas)))
+    for start in range(0, pts.shape[0], _EVAL_ROWS):
+        rows = slice(start, start + _EVAL_ROWS)
+        yield rows, _tensor_columns(_axis_tables(pts[rows], degree, basis, box), alphas, buf)
 
 
 @dataclass
@@ -160,9 +174,7 @@ class MultiPoly:
             raise ValueError(f"points have dim {pts.shape[1]}, expected {self.dim}")
         alphas, c = list(self.coeffs), np.array(list(self.coeffs.values()))
         out = np.zeros(pts.shape[0])
-        for start in range(0, pts.shape[0], _EVAL_ROWS):
-            rows = slice(start, start + _EVAL_ROWS)
-            A = _tensor_columns(_axis_tables(pts[rows], self.degree, self.basis, self.box), alphas)
+        for rows, A in _design_blocks(pts, self.degree, self.basis, self.box, alphas):
             out[rows] = np.multiply(A, c, out=A).sum(axis=1)
         return float(out[0]) if scalar else out
 
@@ -310,18 +322,23 @@ def fit_regression(X, y, degree: int, basis: str = MONOMIAL, ridge: float = 0.0,
                 f"normal equations are rank deficient (rank {rank} < {nb}); use ridge > 0")
     else:
         alphas = multi_indices(X.shape[1], degree)
-        G, rhs = ridge * np.eye(len(alphas)), np.zeros(len(alphas))
-        for start in range(0, X.shape[0], _EVAL_ROWS):
-            rows = slice(start, start + _EVAL_ROWS)
-            A = _tensor_columns(_axis_tables(X[rows], degree, basis, box), alphas)
-            G += A.T @ A
-            rhs += A.T @ y[rows]
+        G, rhs = _normal_equations(X, y, degree, basis, box, alphas, ridge)
         if penalty_matrix is not None:
             G += np.asarray(penalty_matrix, dtype=float)
         beta = np.linalg.solve(G, rhs)
     coeffs = {alpha: float(b) for alpha, b in zip(alphas, beta)}
     p = MultiPoly(X.shape[1], degree, basis, coeffs, box)
     return FitResult(p, float(np.mean((p.eval(X) - y) ** 2)))
+
+
+def _normal_equations(X, y, degree, basis, box, alphas, ridge):
+    """(ridge I + A'A, A'y) for the design matrix A of ``X``, summed over
+    ``_design_blocks``; the block buffer is freed on return."""
+    G, rhs = ridge * np.eye(len(alphas)), np.zeros(len(alphas))
+    for rows, A in _design_blocks(X, degree, basis, box, alphas):
+        G += A.T @ A
+        rhs += A.T @ y[rows]
+    return G, rhs
 
 
 # ---------------------------------------------------------------------------

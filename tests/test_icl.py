@@ -134,6 +134,29 @@ class TestPopulationLoss:
         assert icl.predict_query(shuffled, params) == pytest.approx(base, rel=1e-12)
 
 
+def whole_batch_loss(pd, params, mc):
+    """Reference: the loss of ``population_loss``'s prompts evaluated as one batch."""
+    X, xq, W = icl._sample_batch(pd, mc.n_samples, mc.seed, mc.path)
+    yhat, targets = icl._batch_predictions(X, xq, W, params)[:2]
+    return mean_and_stderr((yhat - targets) ** 2)
+
+
+def shift_targets(pd, share):
+    """Three targets of ``pd``: sharing its feature and query objects (the CLI's
+    task shift), with distinct ones, or sharing them at other prompt lengths."""
+    n, length = pd.dim, pd.length
+    mean = lambda mu: np.full(n, mu)
+    if share == "factors":
+        return [icl.PromptDistribution(pd.p_x, pd.p_x_query, dist.Gaussian(mean(mu), np.eye(n)),
+                                       length) for mu in (0.5, 1.0, 2.0)]
+    if share == "nothing":
+        return [icl.PromptDistribution(dist.Gaussian(mean(mu), np.eye(n)),
+                                       dist.Gaussian(mean(-mu), np.eye(n)),
+                                       dist.Gaussian(mean(mu), np.eye(n)), length)
+                for mu in (0.5, 1.0, 2.0)]
+    return [icl.PromptDistribution(pd.p_x, pd.p_x_query, pd.p_h, m) for m in (1, 3, length)]
+
+
 class TestPopulationLossBlocks:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("length", [1, 5])
@@ -141,13 +164,22 @@ class TestPopulationLossBlocks:
         pd = icl.PromptDistribution.gaussian(n, length)
         params = random_params(n, float(length), 2)
         mc = McSpec(2500, 3)
-        # the reference evaluates the whole batch at once
-        X, xq, W = icl._sample_batch(pd, mc.n_samples, mc.seed, mc.path)
-        yhat, targets = icl._batch_predictions(X, xq, W, params)[:2]
-        whole = mean_and_stderr((yhat - targets) ** 2)
+        whole = whole_batch_loss(pd, params, mc)
         for block in (1, 7, 1000, mc.n_samples):
             monkeypatch.setattr(icl, "POPULATION_BLOCK", block)
             assert icl.population_loss(pd, params, mc) == whole
+
+    @pytest.mark.parametrize("share", ["factors", "nothing", "lengths"])
+    def test_shared_pass_bits_do_not_depend_on_block_size(self, share, monkeypatch):
+        pd = icl.PromptDistribution.gaussian(2, 5)
+        params = random_params(2, 5.0, 2)
+        mc = McSpec(2500, 3, (Tag.TARGET,))
+        targets = shift_targets(pd, share)
+        whole = [whole_batch_loss(t, params, mc) for t in targets]
+        assert len(set(whole)) == len(targets)
+        for block in (1, 7, 1000, mc.n_samples):
+            monkeypatch.setattr(icl, "POPULATION_BLOCK", block)
+            assert icl._population_losses(targets, params, mc) == whole
 
     def test_peak_memory_is_bounded(self):
         import tracemalloc
@@ -160,7 +192,9 @@ class TestPopulationLossBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20   # one whole batch took ~159 MiB
+        # ~2.6 MiB: the 1.5 MiB of squares plus one block; 8,192-prompt blocks took
+        # ~8.2 MiB, and one whole batch ~159 MiB
+        assert peak < 5 * 2 ** 20
 
 
 class TestTraining:
@@ -306,18 +340,21 @@ class TestShiftReport:
                    for mu in (0.5, 1.0, 2.0)]
         mc = McSpec(20_000, 3)
         single = [icl.shift_report(params, pd, t, "task", mc) for t in targets]
-        loss = icl.population_loss
-        calls = []
+        builds = []
 
-        def counting(d, p, spec):
-            calls.append(d)
-            return loss(d, p, spec)
+        def recording(seed, *path):
+            builds.append(path)
+            return make_rng(seed, *path)
 
-        monkeypatch.setattr(icl, "population_loss", counting)
+        monkeypatch.setattr(dist, "make_rng", recording)
         batched = icl.shift_reports(params, pd, targets, "task", mc)
         assert batched == single
-        assert sum(d is pd for d in calls) == 1
-        assert len(calls) == 1 + len(targets)
+        # one pass per side: the targets' shared features and queries are one
+        # stream each, drawn once; each target's weights come from its own
+        assert sorted(builds) == sorted([(Tag.SOURCE,), (Tag.SOURCE, Tag.QUERY),
+                                         (Tag.SOURCE, Tag.TASK), (Tag.TARGET,),
+                                         (Tag.TARGET, Tag.QUERY)]
+                                        + [(Tag.TARGET, Tag.TASK)] * len(targets))
 
     def test_degenerate_source_rejected(self, monkeypatch):
         pd = icl.PromptDistribution.gaussian(1, 3)

@@ -28,6 +28,17 @@ def test_finite_estimate_bits_equal_inline_expressions(v):
     assert est.flag == ""
 
 
+@given(arrays(np.float64, st.integers(2, 600),
+              elements=st.floats(-1e100, 1e100, allow_nan=False)))
+@settings(max_examples=100, deadline=None)
+def test_overwrite_keeps_the_bits(v):
+    # past 128 values numpy's pairwise sum recurses; the in-place deviations must match
+    buffer = v.copy()
+    est = mean_and_stderr(buffer, overwrite=True)
+    assert (est.value, est.stderr) == inline_estimate(v)
+    assert mean_and_stderr(v) == est
+
+
 class TestContract:
     def test_single_value_has_nan_stderr(self):
         est = mean_and_stderr([2.5])

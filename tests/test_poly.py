@@ -316,7 +316,39 @@ class TestBlockedFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20   # the whole 20,000 x 231 design took ~42 MiB
+        # ~1.8 MiB: one 512-row block in a reused buffer; a new 1,024-row block per
+        # block took ~5.6 MiB, and the whole 20,000 x 231 design ~42 MiB
+        assert peak < 4 * 2 ** 20
+
+
+class TestReusedBlockBuffer:
+    """eval and regularized fits fill one block buffer for all row blocks."""
+
+    @given(dim=st.integers(1, 3), degree=st.integers(0, 6),
+           basis=st.sampled_from([poly.MONOMIAL, poly.BOX]),
+           n=st.integers(1, 3 * poly._EVAL_ROWS), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_same_bytes_as_a_fresh_block_each(self, dim, degree, basis, n, seed):
+        rng = np.random.default_rng(seed)
+        box = (np.full(dim, -1.0), np.full(dim, 2.0))
+        X = rng.uniform(-1.5, 2.5, size=(n, dim))
+        y = rng.standard_normal(n)
+        alphas = poly.multi_indices(dim, degree)
+        starts = range(0, n, poly._EVAL_ROWS)
+        blocks = [poly._tensor_columns(poly._axis_tables(X[s:s + poly._EVAL_ROWS], degree,
+                                                         basis, box), alphas) for s in starts]
+        p = poly.MultiPoly(dim, degree, basis, dict(zip(alphas, rng.standard_normal(len(alphas)))),
+                           box)
+        c = np.array(list(p.coeffs.values()))
+        fresh = np.concatenate([(A * c).sum(axis=1) for A in blocks])
+        assert p.eval(X).tobytes() == fresh.tobytes()
+        G, rhs = 1e-3 * np.eye(len(alphas)), np.zeros(len(alphas))
+        for s, A in zip(starts, blocks):
+            G += A.T @ A
+            rhs += A.T @ y[s:s + poly._EVAL_ROWS]
+        fit = poly.fit_regression(X, y, degree, basis, ridge=1e-3, box=box)
+        beta = np.array([fit.poly.coeffs[a] for a in alphas])
+        assert beta.tobytes() == np.linalg.solve(G, rhs).tobytes()
 
 
 class TestMcFunctional:
