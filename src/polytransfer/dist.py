@@ -2,12 +2,16 @@
 
 Provides the closed set of densities used throughout the package: Gaussians,
 uniform boxes, truncated Gaussians, 1-D products, and the log-concave
-"bridge" densities that interpolate between a base density and its translate.
+"bridge" densities that interpolate between a base density and its translate
+(``bridge_1d(mu)`` is ``bridge_nd([mu])``).
 On top of the catalog it implements density-ratio sups over adaptive grids,
 Rényi divergences, Gaussian mass of truncation sets, and bridge construction.
 
 All densities are evaluable (``pdf``), samplable (``sample``), and carry a
-bounding box used as the default search region for ratio sups.  Sampling is
+bounding box used as the default search region for ratio sups.  A subclass
+evaluates rows: its ``_pdf`` maps (m, dim) points to an (m,) array, and the
+base class's ``pdf`` accepts a point (returning a float) or rows (returning
+that array).  Code inside the package calls ``_pdf`` on rows.  Sampling is
 deterministic given ``(seed, path)`` (:mod:`polytransfer.rng`); factor i of a
 product draws at ``path + (Tag.FACTOR, i)``, rejection round i at ``path +
 (Tag.ATTEMPT, i)``.  ``blocks(n, seed, path, size)`` yields row blocks of at
@@ -190,6 +194,11 @@ class Density:
     log_concave: bool = False
 
     def pdf(self, x):
+        """Density at a point (a float) or at (m, dim) rows (an (m,) array)."""
+        return _maybe_scalar(self._pdf(_as_points(x, self.dim)), x)
+
+    def _pdf(self, pts: np.ndarray) -> np.ndarray:
+        """Density at (m, dim) rows, as an (m,) array."""
         raise NotImplementedError
 
     def sample(self, n: int, seed: int, path: tuple = ()) -> np.ndarray:
@@ -246,8 +255,8 @@ class Gaussian(Density):
         y = np.linalg.solve(self._chol, (pts - self.mean).T).T
         return self._log_norm - 0.5 * np.sum(y * y, axis=1)
 
-    def pdf(self, x):
-        return _maybe_scalar(np.exp(self.log_pdf(x)), x)
+    def _pdf(self, pts):
+        return np.exp(self.log_pdf(pts))
 
     def blocks(self, n, seed, path, size):
         rng = make_rng(seed, *path)
@@ -273,10 +282,9 @@ class UniformBox(Density):
         self._density = float(1.0 / np.prod(self.hi - self.lo))
         self.label = f"uniform[{np.array2string(self.lo)}..{np.array2string(self.hi)}]"
 
-    def pdf(self, x):
-        pts = _as_points(x, self.dim)
+    def _pdf(self, pts):
         inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-        return _maybe_scalar(np.where(inside, self._density, 0.0), x)
+        return np.where(inside, self._density, 0.0)
 
     def blocks(self, n, seed, path, size):
         rng = make_rng(seed, *path)
@@ -298,12 +306,11 @@ class Product(Density):
         self.log_concave = all(f.log_concave for f in self.factors)
         self.label = f"product({', '.join(f.label for f in self.factors)})"
 
-    def pdf(self, x):
-        pts = _as_points(x, self.dim)
+    def _pdf(self, pts):
         out = np.ones(pts.shape[0])
         for i, f in enumerate(self.factors):
-            out *= np.asarray(f.pdf(pts[:, i]))
-        return _maybe_scalar(out, x)
+            out *= f._pdf(pts[:, i:i + 1])
+        return out
 
     def blocks(self, n, seed, path, size):
         per_factor = [f.blocks(n, seed, (*path, Tag.FACTOR, i), size)
@@ -335,11 +342,8 @@ class TruncatedGaussian(Density):
             raise ValueError("truncation set has zero mass")
         self.label = f"trunc-gaussian(dim={self.dim}, mass={self.mass:.3g})"
 
-    def pdf(self, x):
-        pts = _as_points(x, self.dim)
-        vals = np.asarray(self.base.pdf(pts), dtype=float).reshape(-1)
-        inside = self.trunc_set.contains(pts)
-        return _maybe_scalar(np.where(inside, vals / self.mass, 0.0), x)
+    def _pdf(self, pts):
+        return np.where(self.trunc_set.contains(pts), self.base._pdf(pts) / self.mass, 0.0)
 
     def sample(self, n, seed, path=()):
         if self.dim == 1 and (intervals := intervals_of(self.trunc_set)):
@@ -417,22 +421,14 @@ class GaussianBridge(Density):
 
     log_concave = True
 
-    def __init__(self, gamma: float, cov=None, rotation=None, dim: int | None = None,
-                 label: str | None = None):
+    def __init__(self, gamma: float, cov, rotation=None, label: str | None = None):
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if cov is None:
-            if dim is None:
-                raise ValueError("need cov or dim")
-            cov = np.eye(dim)
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim == 0:
-            cov = cov.reshape(1, 1)
         self.gamma = float(gamma)
-        self.base = Gaussian(np.zeros(cov.shape[0]), cov)
+        self.base = Gaussian(np.zeros(len(np.atleast_1d(cov))), cov)
         self.dim = self.base.dim
         self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
-        self._prec = np.linalg.inv(cov)
+        self._prec = np.linalg.inv(self.base.cov)
         self._a11 = float(self._prec[0, 0])  # equals det(cov')/det(cov) by Cramer's rule
         self.z_const = 1.0 + self.gamma * math.sqrt(self._a11 / (2 * math.pi))
         self.label = label or f"gaussian-bridge(gamma={self.gamma:.4g}, dim={self.dim})"
@@ -443,13 +439,12 @@ class GaussianBridge(Density):
     def _unrotate(self, pts):
         return pts if self.rotation is None else pts @ self.rotation
 
-    def pdf(self, x):
-        pts = self._rotate(_as_points(x, self.dim))
+    def _pdf(self, pts):
+        pts = self._rotate(pts)
         t = np.clip((pts @ self._prec[0]) / self._a11, 0.0, self.gamma)
         shifted = pts.copy()
         shifted[:, 0] -= t
-        vals = np.asarray(self.base.pdf(shifted), dtype=float).reshape(-1) / self.z_const
-        return _maybe_scalar(vals, x)
+        return self.base._pdf(shifted) / self.z_const
 
     def sample(self, n, seed, path=()):
         rng = make_rng(seed, *path)
@@ -482,15 +477,14 @@ class GaussianBridge(Density):
         return center - radius, center + radius
 
 
-def _householder_to_e1(v: np.ndarray) -> np.ndarray:
-    """Orthogonal symmetric R with R @ v = ||v|| e1."""
+def _householder_to_e1(v: np.ndarray) -> np.ndarray | None:
+    """Orthogonal symmetric R with R @ v = ||v|| e1; None (no rotation) when
+    v already points along +e1."""
     n = v.size
-    gamma = np.linalg.norm(v)
-    e1 = np.eye(n)[0]
-    u = v / gamma - e1
+    u = v / np.linalg.norm(v) - np.eye(n)[0]
     nu = np.linalg.norm(u)
     if nu < 1e-14:
-        return np.eye(n)
+        return None
     u = u / nu
     return np.eye(n) - 2.0 * np.outer(u, u)
 
@@ -498,37 +492,32 @@ def _householder_to_e1(v: np.ndarray) -> np.ndarray:
 class ProductBridge(Density):
     """Bridge from a log-concave product density to its translate along e1.
 
-    Factors must be 1-D, log-concave, with their mode at 0.  The first
-    coordinate's density is frozen at its modal value across the gap
-    ``(0, gamma)``; the normalizer is ``Z = 1 + gamma * phi1(0)``.
+    Factors must be 1-D with their mode at 0; the bridge is log-concave when
+    they all are.  The first coordinate's density is frozen at its modal
+    value across the gap ``(0, gamma)``; the normalizer is
+    ``Z = 1 + gamma * phi1(0)``.
     """
-
-    log_concave = True
 
     def __init__(self, factors, gamma: float):
         if gamma < 0:
             raise ValueError("gamma must be >= 0")
-        self.factors = list(factors)
-        if any(f.dim != 1 for f in self.factors):
-            raise DimensionMismatchError("factors must be 1-D")
-        self.dim = len(self.factors)
+        self.base = Product(factors)
+        self.factors = self.base.factors
+        self.dim = self.base.dim
+        self.log_concave = self.base.log_concave
+        self._rest = Product(self.factors[1:])
         self.gamma = float(gamma)
-        self._phi1_0 = float(np.asarray(self.factors[0].pdf(0.0)))
+        self._phi1_0 = self.factors[0].pdf(0.0)
         if self._phi1_0 <= 0:
             raise ValueError("first factor must have positive density at its mode 0")
         self.z_const = 1.0 + self.gamma * self._phi1_0
         self.label = f"product-bridge(gamma={self.gamma:.4g}, dim={self.dim})"
 
-    def pdf(self, x):
-        pts = _as_points(x, self.dim)
-        x1 = pts[:, 0]
-        f1 = np.asarray(self.factors[0].pdf(x1), dtype=float).reshape(-1)
-        f1_shift = np.asarray(self.factors[0].pdf(x1 - self.gamma), dtype=float).reshape(-1)
-        first = np.where(x1 < 0, f1, np.where(x1 > self.gamma, f1_shift, self._phi1_0))
-        rest = np.ones(pts.shape[0])
-        for i, f in enumerate(self.factors[1:], start=1):
-            rest *= np.asarray(f.pdf(pts[:, i]), dtype=float).reshape(-1)
-        return _maybe_scalar(first * rest / self.z_const, x)
+    def _pdf(self, pts):
+        x1, f1 = pts[:, :1], self.factors[0]
+        first = np.where(x1[:, 0] < 0, f1._pdf(x1),
+                         np.where(x1[:, 0] > self.gamma, f1._pdf(x1 - self.gamma), self._phi1_0))
+        return first * self._rest._pdf(pts[:, 1:]) / self.z_const
 
     def sample(self, n, seed, path=()):
         rng = make_rng(seed, *path)
@@ -559,9 +548,7 @@ class ProductBridge(Density):
                                        for i, f in enumerate(self.factors[1:], start=1)])
 
     def bounding_box(self):
-        los, his = zip(*(f.bounding_box() for f in self.factors))
-        lo = np.concatenate(los)
-        hi = np.concatenate(his)
+        lo, hi = self.base.bounding_box()
         hi[0] += self.gamma
         return lo, hi
 
@@ -583,48 +570,37 @@ def _mass_below0(f: Density) -> float:
 
 
 def bridge_1d(mu: float) -> Density:
-    """Bridge between N(0,1) and N(mu,1) on the line; Z = 1 + |mu|/sqrt(2 pi)."""
-    if mu == 0:
-        return Gaussian([0.0], [[1.0]])
-    rotation = None if mu > 0 else -np.eye(1)
-    return GaussianBridge(abs(mu), cov=np.eye(1), rotation=rotation,
-                          label=f"bridge1d(mu={mu:.4g})")
+    """Bridge between N(0,1) and N(mu,1) on the line, ``bridge_nd([mu])``;
+    Z = 1 + |mu|/sqrt(2 pi)."""
+    return bridge_nd([mu])
 
 
 def bridge_nd(mu) -> Density:
-    """Bridge between N(0,I) and N(mu,I); internally rotated so mu || e1."""
+    """Bridge between N(0,I) and N(mu,I); internally rotated so mu || e1
+    (a mu along +e1 is not rotated)."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     gamma = float(np.linalg.norm(mu))
     if gamma == 0:
         return Gaussian(np.zeros(mu.size), np.eye(mu.size))
-    rot = _householder_to_e1(mu)
-    return GaussianBridge(gamma, cov=np.eye(mu.size), rotation=rot,
+    return GaussianBridge(gamma, np.eye(mu.size), rotation=_householder_to_e1(mu),
                           label=f"bridgeNd(|mu|={gamma:.4g}, dim={mu.size})")
 
 
 def bridge_construct(kind: str, **params) -> Density:
     """Construct a catalog bridge density.
 
-    Kinds: ``gaussian1d(mu)``, ``gaussianNd(mu)``,
+    Kinds: ``gaussian1d(mu)``, ``gaussianNd(mu)`` (both ``bridge_nd``),
     ``translated_product(factors, gamma)``, ``gaussian_general_cov(cov, gamma)``.
     A zero shift returns the base density itself.
     """
-    if kind == "gaussian1d":
-        return bridge_1d(float(params["mu"]))
-    if kind == "gaussianNd":
+    if kind in ("gaussian1d", "gaussianNd"):
         return bridge_nd(params["mu"])
     if kind == "translated_product":
         gamma = float(params["gamma"])
-        factors = params["factors"]
-        if gamma == 0:
-            return Product(factors)
-        return ProductBridge(factors, gamma)
+        return ProductBridge(params["factors"], gamma) if gamma else Product(params["factors"])
     if kind == "gaussian_general_cov":
-        cov = np.asarray(params["cov"], dtype=float)
-        gamma = float(params["gamma"])
-        if gamma == 0:
-            return Gaussian(np.zeros(cov.shape[0]), cov)
-        return GaussianBridge(gamma, cov=cov)
+        bridge = GaussianBridge(float(params["gamma"]), params["cov"])
+        return bridge if bridge.gamma else bridge.base
     raise ValueError(f"unknown bridge kind {kind!r}")
 
 
@@ -667,8 +643,7 @@ def _grid_axes(lo, hi, m):
 def _eval_ratio_on_grid(P, Q, axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in mesh])
-    p = np.asarray(P.pdf(pts), dtype=float).reshape(-1)
-    q = np.asarray(Q.pdf(pts), dtype=float).reshape(-1)
+    p, q = P._pdf(pts), Q._pdf(pts)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(p > 0, p / q, 0.0)
     if np.any((p > 0) & (q == 0)):
@@ -734,12 +709,13 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
+    if P.dim != Q.dim:
+        raise DimensionMismatchError("densities must share a dimension")
     if math.isinf(alpha):
         val = density_ratio_sup(P, Q, grid)
         return McEstimate(float(val), 0.0)
     x = Q.sample(mc.n_samples, mc.seed, mc.path)
-    p = np.asarray(P.pdf(x), dtype=float).reshape(-1)
-    q = np.asarray(Q.pdf(x), dtype=float).reshape(-1)
+    p, q = P._pdf(x), Q._pdf(x)
     bad = (p > 0) & (q == 0)
     if np.any(bad):
         return McEstimate(math.inf, math.nan, flag="infinite-ratio")
@@ -768,16 +744,12 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
 
     Exact (``normal_interval_mass``) for 1-D interval unions, any-dimension
     halfspaces, and boxes with diagonal covariance; Monte Carlo otherwise.
-    An interval union, halfspace or box of another dimension than the
-    Gaussian's raises ``DimensionMismatchError``.
+    The covariance is parsed by ``Gaussian``, so one that is not symmetric
+    positive definite raises ``NotSPDError``.  An interval union, halfspace or
+    box of another dimension than the Gaussian's raises ``DimensionMismatchError``.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 0:
-        cov = cov.reshape(1, 1)
-    if cov.ndim == 1:
-        cov = np.diag(cov)
-    dim = mean.size
+    g = Gaussian(mean, cov)
+    mean, cov, dim = g.mean, g.cov, g.dim
     set_dim = (1 if isinstance(trunc_set, IntervalUnion)
                else len(trunc_set.normal) if isinstance(trunc_set, Halfspace)
                else len(trunc_set.lo) if isinstance(trunc_set, BoxSet) else dim)
@@ -803,6 +775,5 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
                           0.0)
 
     mc = mc or McSpec(200_000, seed=0)
-    g = Gaussian(mean, cov)
     x = g.sample(mc.n_samples, mc.seed, mc.path)
     return mean_and_stderr(trunc_set.contains(x).astype(float))

@@ -224,9 +224,6 @@ def catalog_coefficient(kind: str, d: int, **params):
     return bridge, coefficient
 
 
-LOG_CONCAVE_KINDS = (dist.Gaussian, dist.UniformBox, dist.GaussianBridge, dist.ProductBridge)
-
-
 def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
                     holder: HolderPair, bridge: dist.Density | None = None,
                     constant: float = DEFAULT_C, mc: McSpec = McSpec(100_000, 0),
@@ -234,14 +231,15 @@ def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
                     kind: str = "euclidean") -> TransferReport:
     """Measure both sides of the transfer inequality and fill a report.
 
-    Without a bridge, Q must be log-concave by catalog and the coefficient
-    uses ||dP/dQ||; with a bridge, the two divergences against the bridge
-    are measured (sups for alpha = inf, Monte Carlo otherwise).
+    Without a bridge, Q must be log-concave (its ``log_concave`` flag) and
+    the coefficient uses ||dP/dQ||; with a bridge, the two divergences
+    against the bridge are measured (sups for alpha = inf, Monte Carlo
+    otherwise).
     """
     beta = holder.beta
     if bridge is None:
-        if not isinstance(Q, LOG_CONCAVE_KINDS) or not Q.log_concave:
-            raise ValueError("Q is not log-concave by catalog; supply a bridge")
+        if not Q.log_concave:
+            raise ValueError("Q is not log-concave; supply a bridge")
         if math.isinf(holder.alpha):
             ratio = float(dist.density_ratio_sup(P, Q, grid))
             coefficient = logconcave_transfer_coefficient(d, max(ratio, 1.0), constant)

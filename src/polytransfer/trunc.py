@@ -140,8 +140,7 @@ def truncated_mse(model, inst: TruncatedRegressionInstance,
     return _truncated_mse_estimate(model, inst, mc).value
 
 
-def full_mse(model, inst: TruncatedRegressionInstance,
-             mc: McSpec | None = None) -> float:
+def full_mse(model, inst: TruncatedRegressionInstance) -> float:
     """Same average without truncation: 1 + (f*(x_i) - model(x_i))^2 per point."""
     preds = np.array([float(model(x)) for x in inst.covariates])
     return float(np.mean(1.0 + (inst.locations - preds) ** 2))
@@ -204,7 +203,7 @@ def truncated_transfer_check(model, inst: TruncatedRegressionInstance,
         raise MassTooSmallError(f"alpha = {alpha:.3g} below the usable floor")
     t_est = _truncated_mse_estimate(model, inst, mc)
     t_mse, t_se = t_est.value, t_est.stderr
-    f_mse = full_mse(model, inst, mc)   # exact: standard error 0
+    f_mse = full_mse(model, inst)   # exact: standard error 0
     holder = HolderPair(math.inf, 1.0)
     coeff_fwd = constant / alpha ** 2
     forward = TransferReport(

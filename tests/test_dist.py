@@ -110,6 +110,13 @@ class TestLogConcavity:
         lm = np.log(np.maximum(b.pdf((x + y) / 2), 1e-300))
         assert np.all(lm >= 0.5 * (lx + ly) - 1e-9)
 
+    def test_product_bridge_takes_the_flag_from_its_factors(self):
+        g = dist.Gaussian([0.0], [[1.0]])
+        two_sided = dist.TruncatedGaussian([0.0], [[1.0]],
+                                           dist.IntervalUnion(((-3.0, -1.0), (1.0, 3.0))))
+        assert dist.ProductBridge([g, g], 1.0).log_concave
+        assert not dist.ProductBridge([g, two_sided], 1.0).log_concave
+
     def test_general_cov_bridge_pairs(self):
         cov = np.array([[1.5, -0.6], [-0.6, 1.0]])
         b = dist.GaussianBridge(2.0, cov=cov)
@@ -259,6 +266,9 @@ BLOCK_DENSITIES = {
     "product-2d": dist.Product([dist.Gaussian([0.0], [[1.0]]),
                                 dist.UniformBox([-1.0], [1.0])]),
     "truncated": dist.TruncatedGaussian([0.0], [[1.0]], dist.IntervalUnion(((0.5, 2.0),))),
+    "gaussian-bridge": dist.bridge_nd([1.0, -0.5]),
+    "product-bridge": dist.ProductBridge([dist.Gaussian([0.0], [[1.0]]),
+                                          dist.UniformBox([-1.0], [2.0])], 1.5),
 }
 
 
@@ -313,6 +323,62 @@ class TestBlocks:
         assert whole.tobytes() == np.stack(terms, axis=-1).tobytes()
         for i in range(rows):
             assert dist.rowwise_matmul(a[i:i + 1], m).tobytes() == whole[i:i + 1].tobytes()
+
+
+CONTRACT_DENSITIES = {
+    **BLOCK_DENSITIES,
+    "gaussian-bridge-unrotated": dist.bridge_nd([1.5, 0.0, 0.0]),
+    "gaussian-bridge-general-cov": dist.GaussianBridge(1.2, [[1.0, 0.5], [0.5, 2.0]]),
+    "product-bridge-one-factor": dist.ProductBridge([dist.Gaussian([0.0], [[1.0]])], 0.7),
+}
+
+
+def _catalog_classes(cls=dist.Density):
+    for sub in cls.__subclasses__():
+        if sub.__module__ == dist.__name__:
+            yield sub
+        yield from _catalog_classes(sub)
+
+
+class TestPdfContract:
+    @pytest.mark.parametrize("name", sorted(CONTRACT_DENSITIES))
+    @given(m=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_agree_with_points(self, name, m, seed):
+        # batch and point may round the exponent apart in the last bits
+        # (LAPACK, SIMD exp), which exp scales by |log pdf|: the points stay
+        # in the middle half of the bounding box
+        d = CONTRACT_DENSITIES[name]
+        lo, hi = d.bounding_box()
+        box = lo + (0.25 + 0.5 * np.random.default_rng(seed).random((m, d.dim))) * (hi - lo)
+        rows = np.concatenate([d.sample(m, seed), box])
+        batch = d.pdf(rows)
+        assert isinstance(batch, np.ndarray) and batch.shape == (2 * m,)
+        points = [d.pdf(row) for row in rows]
+        assert all(type(v) is float for v in points)
+        if d.dim == 1:
+            assert [d.pdf(float(row[0])) for row in rows] == points
+        np.testing.assert_allclose(batch, points, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("cls", sorted(_catalog_classes(), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_subclass_evaluates_rows_and_draws(self, cls):
+        # the base sample and blocks call each other: a class that
+        # overrides neither would recurse without end
+        assert cls.pdf is dist.Density.pdf
+        assert cls._pdf is not dist.Density._pdf
+        assert cls.sample is not dist.Density.sample or cls.blocks is not dist.Density.blocks
+
+    def test_bridge_1d_is_bridge_nd(self):
+        xs = np.linspace(-6.0, 8.0, 57)
+        for mu in (-2.0, 0.0, 1.3):
+            b1, bn = dist.bridge_1d(mu), dist.bridge_nd([mu])
+            assert b1.label == bn.label
+            assert getattr(b1, "z_const", 1.0) == getattr(bn, "z_const", 1.0)
+            assert b1.pdf(xs).tobytes() == bn.pdf(xs).tobytes()
+        assert dist.bridge_1d(2.0).rotation is None
+        assert dist.bridge_nd([2.0, 0.0]).rotation is None
+        assert dist.bridge_1d(-2.0).rotation.tolist() == [[-1.0]]
 
 
 class TestRatioSup:
@@ -380,6 +446,11 @@ class TestRenyi:
         vals.append(dist.density_ratio_sup(p, q))
         assert all(v1 <= v2 + 1e-9 for v1, v2 in zip(vals, vals[1:]))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(dist.DimensionMismatchError):
+            dist.renyi_divergence(dist.Gaussian([0.0], [[1.0]]),
+                                  dist.Gaussian([0.0, 0.0], np.eye(2)), 2.0, McSpec(100, 0))
+
     def test_infinite_ratio_flagged(self):
         class LeakyUniform(dist.UniformBox):
             # sampler support exceeds the pdf support: forces p>0, q=0 draws
@@ -394,6 +465,16 @@ class TestRenyi:
 
 
 class TestGaussianMass:
+    @pytest.mark.parametrize("cov, s", [
+        ([[-1.0, 0.0], [0.0, 1.0]], dist.BoxSet((-1.0, -1.0), (1.0, 1.0))),
+        ([[1.0, 2.0], [2.0, 1.0]], dist.Halfspace((1.0, 1.0), 0.0)),
+        ([[0.0]], dist.IntervalUnion(((0.0, 1.0),))),
+    ], ids=["negative-box", "indefinite-halfspace", "zero-interval"])
+    def test_invalid_covariance_raises(self, cov, s):
+        # these used to give nan, a mass of 0.691 and a ZeroDivisionError
+        with pytest.raises(dist.NotSPDError):
+            dist.gaussian_mass(np.zeros(len(cov)), cov, s)
+
     def test_halfline_symmetry(self):
         m = dist.gaussian_mass([0.0], [[1.0]], dist.IntervalUnion(((0.0, math.inf),)))
         assert m.value == pytest.approx(0.5, abs=1e-12)

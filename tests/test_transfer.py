@@ -230,6 +230,23 @@ class TestVerifyTransfer:
         assert rep.coefficient == pytest.approx(18.0, rel=1e-9)
         assert math.isfinite(rep.lhs) and rep.satisfied
 
+    def test_log_concave_product_target_needs_no_bridge(self):
+        # a Product target used to be refused as "not log-concave by catalog"
+        f = poly.MultiPoly(2, 1, poly.MONOMIAL, {(1, 0): 1.0, (0, 1): 0.5})
+        g = dist.Gaussian([0.0], [[1.0]])
+        p = dist.Product([dist.Gaussian([0.5], [[1.0]]), g])
+        hp = transfer.HolderPair(math.inf, 1.0)
+        rep = transfer.verify_transfer(f, p, dist.Product([g, g]), 1, hp, mc=McSpec(20_000, 0))
+        joint = transfer.verify_transfer(f, dist.Gaussian([0.5, 0.0], np.eye(2)),
+                                         dist.Gaussian([0.0, 0.0], np.eye(2)), 1, hp,
+                                         mc=McSpec(20_000, 0))
+        assert rep.bridge == "target-is-log-concave"
+        assert rep.coefficient == pytest.approx(joint.coefficient, rel=1e-9)
+        two_sided = dist.TruncatedGaussian([0.0], [[1.0]],
+                                           dist.IntervalUnion(((-3.0, -1.0), (1.0, 3.0))))
+        with pytest.raises(ValueError, match="not log-concave"):
+            transfer.verify_transfer(f, p, dist.Product([g, two_sided]), 1, hp)
+
     def test_non_logconcave_target_requires_bridge(self):
         f = poly.MultiPoly(1, 1, poly.MONOMIAL, {(1,): 1.0})
         p = dist.Gaussian([0.0], [[1.0]])
