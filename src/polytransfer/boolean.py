@@ -305,10 +305,6 @@ class BooleanTransferReport:
     coefficient: float      # K_d * Q(S)^(-2d)
     satisfied: bool | None  # None when the hypothesis fails
 
-    @property
-    def rhs(self) -> float:
-        return self.coefficient * self.source_moment
-
 
 def transfer_report(f: BooleanFn, seen: SeenSet, c_gap: float = 1.0,
                     k_d: float | None = None,

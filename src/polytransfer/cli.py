@@ -199,14 +199,14 @@ def _region_mse(model, f_star, sampler, mc: McSpec):
     return est.value, est.stderr
 
 
-def _plot_values(model, pts, cap: float = 1e12):
-    """Model values sanitized for rendering: overflow saturates the scale."""
+def _plot_values(model, pts):
+    """Model values sanitized for rendering: overflow saturates the scale at +-1e12."""
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.asarray(model(pts), dtype=float)
-    v = np.nan_to_num(v, nan=cap, posinf=cap, neginf=-cap)
-    return np.clip(v, -cap, cap)
+    v = np.nan_to_num(v, nan=1e12)   # +-inf go to +-max float, then clip
+    return np.clip(v, -1e12, 1e12)
 
 
 def _band_sampler(outer_lo, outer_hi, inner_lo, inner_hi):

@@ -224,21 +224,16 @@ class Density:
 
 
 class Gaussian(Density):
-    """Multivariate normal with SPD covariance."""
+    """Multivariate normal with a (dim, dim) SPD covariance."""
 
     log_concave = True
 
     def __init__(self, mean, cov):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim == 0:
-            cov = cov.reshape(1, 1)
-        if cov.ndim == 1:
-            cov = np.diag(cov)
-        self.cov = cov
+        self.cov = cov = np.asarray(cov, dtype=float)
         self.dim = self.mean.size
         if cov.shape != (self.dim, self.dim):
-            raise DimensionMismatchError("mean/cov shapes disagree")
+            raise DimensionMismatchError("covariance must be (dim, dim) for the mean's dim")
         if not np.allclose(cov, cov.T):
             raise NotSPDError("covariance must be symmetric")
         try:
@@ -327,16 +322,16 @@ class TruncatedGaussian(Density):
 
     The normalizing mass is computed exactly for 1-D interval unions,
     halfspaces, and boxes with diagonal covariance; otherwise by Monte Carlo
-    with a fixed internal seed so the pdf stays deterministic.  A 1-D set
+    with ``gaussian_mass``'s fixed seed, so the pdf stays deterministic.  A 1-D set
     that ``intervals_of`` reduces draws by an exact inverse CDF at any mass;
     any other set draws by rejection.
     """
 
-    def __init__(self, mean, cov, trunc_set: TruncationSet, mass_mc: McSpec | None = None):
+    def __init__(self, mean, cov, trunc_set: TruncationSet):
         self.base = Gaussian(mean, cov)
         self.dim = self.base.dim
         self.trunc_set = trunc_set
-        est = gaussian_mass(self.base.mean, self.base.cov, trunc_set, mass_mc)
+        est = gaussian_mass(self.base.mean, self.base.cov, trunc_set)
         self.mass = float(est)
         if self.mass <= 0:
             raise ValueError("truncation set has zero mass")
@@ -528,22 +523,24 @@ class ProductBridge(Density):
         # sign-conditioned draws from factor 1 by rejection
         need_left = int((u < p_left).sum())
         need_right = int((u >= p_left + p_mid).sum())
-        lefts, rights = [], []
-        attempt = 0
-        while len(lefts) < need_left or len(rights) < need_right:
+        lefts, rights = [np.empty(0)], [np.empty(0)]
+        n_left = n_right = attempt = 0
+        while n_left < need_left or n_right < need_right:
             draws = self.factors[0].sample(max(256, 4 * n), seed,
                                            (*path, Tag.ATTEMPT, attempt))[:, 0]
-            lefts.extend(draws[draws <= 0].tolist())
-            rights.extend(draws[draws > 0].tolist())
+            lefts.append(draws[draws <= 0])
+            rights.append(draws[draws > 0])
+            n_left += lefts[-1].size
+            n_right += rights[-1].size
             attempt += 1
             if attempt > 10_000:
                 raise RejectionBudgetError("factor-conditional sampling budget exhausted")
         mask_left = u < p_left
         mask_mid = (~mask_left) & (u < p_left + p_mid)
         mask_right = ~(mask_left | mask_mid)
-        x1[mask_left] = np.array(lefts[:need_left])
+        x1[mask_left] = np.concatenate(lefts)[:need_left]
         x1[mask_mid] = rng.random(int(mask_mid.sum())) * self.gamma
-        x1[mask_right] = self.gamma + np.array(rights[:need_right])
+        x1[mask_right] = self.gamma + np.concatenate(rights)[:need_right]
         return np.column_stack([x1] + [f.sample(n, seed, (*path, Tag.FACTOR, i))[:, 0]
                                        for i, f in enumerate(self.factors[1:], start=1)])
 
@@ -611,14 +608,11 @@ def bridge_construct(kind: str, **params) -> Density:
 
 @dataclass
 class GridSpec:
-    """Search grid for ratio sups: bounding box plus per-axis resolution.
-
-    When ``box`` is omitted the union of the two densities' bounding boxes
-    (mean +- ``BOX_SIGMAS`` sd per coordinate) is used and reported with the result.
-    """
+    """Search grid for ratio sups: the per-axis resolution over the union of
+    the two densities' bounding boxes (mean +- ``BOX_SIGMAS`` sd per
+    coordinate), which is reported with the result."""
 
     points_per_dim: int | None = None
-    box: tuple | None = None
 
 
 @dataclass
@@ -673,14 +667,10 @@ def density_ratio_sup(P: Density, Q: Density, grid: GridSpec | None = None,
         res = RatioSupResult(value, P.lo, P.hi, None)
         return res if details else res.value
 
-    if grid.box is not None:
-        lo = np.atleast_1d(np.asarray(grid.box[0], dtype=float))
-        hi = np.atleast_1d(np.asarray(grid.box[1], dtype=float))
-    else:
-        plo, phi = P.bounding_box()
-        qlo, qhi = Q.bounding_box()
-        lo = np.minimum(plo, qlo)
-        hi = np.maximum(phi, qhi)
+    plo, phi = P.bounding_box()
+    qlo, qhi = Q.bounding_box()
+    lo = np.minimum(plo, qlo)
+    hi = np.maximum(phi, qhi)
     m = grid.points_per_dim or _default_points(P.dim)
     if m < 2:
         raise ValueError("empty grid")

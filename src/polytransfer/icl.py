@@ -375,13 +375,11 @@ def _shift_report(source, target, kind, l_p, l_q, exponent, constant):
             coefficient = constant * z_power
             bridge_label = bridge.label
 
-    holder = HolderPair(math.inf, 1.0)
-    rhs = coefficient * l_p.value if math.isfinite(coefficient) else math.inf
-    rhs_se = coefficient * l_p.stderr if math.isfinite(coefficient) else math.nan
     return TransferReport(
-        kind=f"icl-{kind}", degree=exponent, holder=holder, constant=constant,
-        bridge=bridge_label, coefficient=coefficient,
-        lhs=l_q.value, lhs_se=l_q.stderr, rhs=rhs, rhs_se=rhs_se)
+        kind=f"icl-{kind}", degree=exponent, holder=HolderPair(math.inf, 1.0),
+        constant=constant, bridge=bridge_label, coefficient=coefficient,
+        lhs=l_q.value, lhs_se=l_q.stderr,
+        rhs=coefficient * l_p.value, rhs_se=coefficient * l_p.stderr)
 
 
 def loss_as_function_of_prompt(params: LSAParams, n: int, length: int):

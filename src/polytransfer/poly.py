@@ -353,12 +353,7 @@ class NonFiniteValueError(RuntimeError):
 
 
 def _eval_batch(g, x):
-    try:
-        v = np.asarray(g(x), dtype=float).reshape(-1)
-        if v.size != x.shape[0]:
-            raise TypeError
-    except (TypeError, ValueError):
-        v = np.array([float(g(x[i])) for i in range(x.shape[0])])
+    v = np.asarray(g(x), dtype=float).reshape(x.shape[0])
     if not np.all(np.isfinite(v)):
         raise NonFiniteValueError(x[int(np.argmax(~np.isfinite(v)))])
     return v
@@ -367,8 +362,8 @@ def _eval_batch(g, x):
 def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
     """Sample mean and standard error of g under the density.
 
-    ``g`` may be vectorized over an (m, dim) array or accept single points.
-    Deterministic given the seed and path.  The draws
+    ``g`` maps (m, dim) rows to m values; any other shape raises
+    ``ValueError``.  Deterministic given the seed and path.  The draws
     ``density.sample(mc.n_samples, mc.seed, mc.path)`` are evaluated in
     ``chunks`` blocks of one stream, so ``chunks`` leaves the estimate
     unchanged bit for bit (for a ``g`` that evaluates each point on its
@@ -392,14 +387,13 @@ def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
 # ---------------------------------------------------------------------------
 
 
-def line_degree(g, x0, direction, max_deg: int, rel_tol: float = DEGREE_REL_TOL,
-                t_scale: float = 1.0) -> int:
+def line_degree(g, x0, direction, max_deg: int) -> int:
     """Degree of t -> g(x0 + t*direction) as detected from a Chebyshev fit.
 
-    Interpolates at max_deg + 2 Chebyshev nodes with a degree max_deg + 1
-    polynomial and returns the largest index whose coefficient exceeds
-    ``rel_tol`` relative to the largest one.  A return value of
-    max_deg + 1 means the degree exceeds max_deg.
+    Interpolates at max_deg + 2 Chebyshev nodes on [-1, 1] with a degree
+    max_deg + 1 polynomial and returns the largest index whose coefficient
+    exceeds ``DEGREE_REL_TOL`` relative to the largest one.  A return value
+    of max_deg + 1 means the degree exceeds max_deg.
     """
     from numpy.polynomial import chebyshev
 
@@ -408,28 +402,27 @@ def line_degree(g, x0, direction, max_deg: int, rel_tol: float = DEGREE_REL_TOL,
     if not np.any(direction):
         raise ValueError("direction must be nonzero")
     npts = max_deg + 2
-    t = t_scale * np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts))
+    t = np.cos(np.pi * (2 * np.arange(npts) + 1) / (2 * npts))
     pts = x0 + np.outer(t, direction)
     vals = np.array([float(g(p)) for p in pts])
-    c = chebyshev.chebfit(t / t_scale, vals, deg=max_deg + 1)
+    c = chebyshev.chebfit(t, vals, deg=max_deg + 1)
     top = np.max(np.abs(c))
     if top == 0:
         return 0
-    sig = np.nonzero(np.abs(c) > rel_tol * top)[0]
+    sig = np.nonzero(np.abs(c) > DEGREE_REL_TOL * top)[0]
     return int(sig[-1]) if sig.size else 0
 
 
-def restricted_degree(g, dim: int, max_deg: int, lines: int = 20, seed: int = 0,
-                      x0_scale: float = 0.5, rel_tol: float = DEGREE_REL_TOL,
-                      t_scale: float = 1.0) -> int:
-    """Max of ``line_degree`` over random lines through random base points."""
+def restricted_degree(g, dim: int, max_deg: int, lines: int = 20, seed: int = 0) -> int:
+    """Max of ``line_degree`` over random lines through base points drawn
+    from N(0, I/4)."""
     rng = make_rng(seed)
     best = 0
     for _ in range(lines):
-        x0 = x0_scale * rng.standard_normal(dim)
+        x0 = 0.5 * rng.standard_normal(dim)
         d = rng.standard_normal(dim)
         d /= np.linalg.norm(d)
-        best = max(best, line_degree(g, x0, d, max_deg, rel_tol, t_scale))
+        best = max(best, line_degree(g, x0, d, max_deg))
     return best
 
 

@@ -67,7 +67,8 @@ class TransferReport:
 
     ``lhs`` is the target-side expectation, ``rhs`` the coefficient times the
     source-side value.  ``satisfied`` allows 3 combined standard errors of
-    Monte Carlo slack.
+    Monte Carlo slack, and holds whenever ``rhs`` is +inf, whatever the
+    standard errors read.
     """
 
     kind: str
@@ -83,6 +84,8 @@ class TransferReport:
 
     @property
     def satisfied(self) -> bool:
+        if self.rhs == math.inf:
+            return True
         slack = 3.0 * math.hypot(self.lhs_se, self.rhs_se)
         dust = 1e-12 * max(abs(self.lhs), abs(self.rhs), 1.0)  # exact-equality cases
         return bool(self.lhs <= self.rhs + slack + dust)
@@ -231,33 +234,19 @@ def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
                     kind: str = "euclidean") -> TransferReport:
     """Measure both sides of the transfer inequality and fill a report.
 
-    Without a bridge, Q must be log-concave (its ``log_concave`` flag) and
-    the coefficient uses ||dP/dQ||; with a bridge, the two divergences
-    against the bridge are measured (sups for alpha = inf, Monte Carlo
-    otherwise).
+    The two divergences against the bridge are measured (sups for
+    alpha = inf, Monte Carlo otherwise).  Without a bridge, Q must be
+    log-concave (its ``log_concave`` flag) and is its own bridge, so
+    D(Q||Q) = 1 and the coefficient uses D(P||Q) alone.
     """
     beta = holder.beta
-    if bridge is None:
-        if not Q.log_concave:
-            raise ValueError("Q is not log-concave; supply a bridge")
-        if math.isinf(holder.alpha):
-            ratio = float(dist.density_ratio_sup(P, Q, grid))
-            coefficient = logconcave_transfer_coefficient(d, max(ratio, 1.0), constant)
-        else:
-            div = dist.renyi_divergence(P, Q, holder.alpha, mc, grid)
-            coefficient = bridge_transfer_coefficient(
-                d, holder, 1.0, max(div.value, 1.0), constant)
-        bridge_label = "target-is-log-concave"
-    else:
-        if math.isinf(holder.alpha):
-            dq = float(dist.density_ratio_sup(Q, bridge, grid))
-            dp = float(dist.density_ratio_sup(P, bridge, grid))
-        else:
-            dq = dist.renyi_divergence(Q, bridge, holder.alpha, mc, grid).value
-            dp = dist.renyi_divergence(P, bridge, holder.alpha, mc, grid).value
-        coefficient = bridge_transfer_coefficient(
-            d, holder, max(dq, 1.0), max(dp, 1.0), constant)
-        bridge_label = bridge.label
+    if bridge is None and not Q.log_concave:
+        raise ValueError("Q is not log-concave; supply a bridge")
+    mu = Q if bridge is None else bridge
+    dq = dist.renyi_divergence(Q, mu, holder.alpha, mc, grid).value
+    dp = dist.renyi_divergence(P, mu, holder.alpha, mc, grid).value
+    coefficient = bridge_transfer_coefficient(d, holder, max(dq, 1.0), max(dp, 1.0), constant)
+    bridge_label = "target-is-log-concave" if bridge is None else bridge.label
 
     lhs = mc_functional(lambda x: np.abs(f.eval(x)), Q, mc.child(Tag.TARGET))
 

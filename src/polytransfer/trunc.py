@@ -34,7 +34,6 @@ from .transfer import HolderPair, TransferReport
 
 EXACT_MASS_FLOOR = 1e-6
 MC_MASS_FLOOR = 1e-3
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class MassTooSmallError(ValueError):
@@ -65,7 +64,7 @@ def _pdf_terms(z: float) -> tuple[float, float]:
     """(phi(z), z phi(z)) for the N(0, 1) density phi; both 0 at an infinite z."""
     if math.isinf(z):
         return 0.0, 0.0
-    p = math.exp(-0.5 * z * z) / _SQRT_2PI
+    p = math.exp(-0.5 * z * z) / dist.SQRT_2PI
     return p, z * p
 
 

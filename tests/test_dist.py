@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import kstest, norm, truncnorm
 
 from polytransfer import dist, trunc
 from polytransfer.mc import McSpec
@@ -45,6 +46,13 @@ class TestPdf:
         g = dist.Gaussian([0.0, 0.0], np.eye(2))
         with pytest.raises(dist.DimensionMismatchError):
             g.pdf([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("mean, cov", [([0.0], 1.0), ([0.0, 0.0], [1.0, 2.0]),
+                                           ([0.0], [1.0]), ([0.0, 0.0], np.eye(3))])
+    def test_covariance_must_be_dim_by_dim(self, mean, cov):
+        # a covariance is (dim, dim): no scalar or diagonal shorthand
+        with pytest.raises(dist.DimensionMismatchError):
+            dist.Gaussian(mean, cov)
 
     def test_non_spd_covariance_rejected(self):
         with pytest.raises(dist.NotSPDError):
@@ -189,6 +197,35 @@ class TestSampling:
         u = (norm.sf(7.0) - norm.sf(draws)) / (norm.sf(7.0) - norm.sf(7.2))
         ks = np.max(np.abs(np.sort(u) - np.arange(1, n + 1) / n))
         assert ks <= 2.0 / math.sqrt(n)
+
+    @pytest.mark.parametrize("s, lo, hi", [
+        (dist.Halfspace((-2.0,), 1.0), -0.5, math.inf),   # -2x <= 1, i.e. x >= -0.5
+        (dist.BoxSet((-0.5,), (1.5,)), -0.5, 1.5)], ids=["negative-halfspace", "box"])
+    def test_1d_halfspace_and_box_reduce_to_intervals(self, s, lo, hi):
+        mean, sd = 0.3, math.sqrt(1.5)
+        assert dist.intervals_of(s) == ((lo, hi),)
+        exact = norm.cdf(hi, mean, sd) - norm.cdf(lo, mean, sd)
+        assert dist.gaussian_mass([mean], [[1.5]], s).value == pytest.approx(exact, rel=1e-12)
+        tg = dist.TruncatedGaussian([mean], [[1.5]], s)
+        assert tg.mass == pytest.approx(exact, rel=1e-12)
+        box_lo, box_hi = tg.bounding_box()
+        assert box_lo[0] == lo and box_hi[0] == min(hi, mean + dist.BOX_SIGMAS * sd)
+        draws = tg.sample(5000, 4)[:, 0]
+        assert np.all(s.contains(draws))
+        law = truncnorm((lo - mean) / sd, (hi - mean) / sd, loc=mean, scale=sd)
+        assert kstest(draws, law.cdf).pvalue > 0.01
+
+    def test_product_bridge_sample_memory_is_bounded(self):
+        # the rejection rounds used to collect draws in Python lists (38.7 MiB peak)
+        b = dist.ProductBridge([dist.Gaussian([0.0], [[1.0]])] * 2, 1.0)
+        tracemalloc.start()
+        try:
+            out = b.sample(200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (200_000, 2)
+        assert peak < 28 * 2 ** 20   # the result alone is 3.1 MiB
 
     def test_nd_small_mass_still_raises(self):
         box = dist.BoxSet((3.0, 3.0), (4.0, 4.0))  # mass ~ 1.8e-6, no intervals in 2-D
@@ -410,6 +447,12 @@ class TestRatioSup:
         ]
         for p, q in pairs:
             assert dist.density_ratio_sup(p, q) >= 1.0 - 1e-9
+
+    def test_target_vanishing_where_source_has_mass_is_infinite(self):
+        p = dist.Gaussian([0.0], [[1.0]])
+        q = dist.TruncatedGaussian([0.0], [[1.0]], dist.IntervalUnion(((0.0, math.inf),)))
+        res = dist.density_ratio_sup(p, q, details=True)
+        assert res.value == math.inf and res.argmax is None
 
     def test_details_report_box(self):
         p = dist.Gaussian([0.0], [[1.0]])

@@ -332,6 +332,33 @@ class TestShiftReport:
         assert rep.coefficient == pytest.approx(z ** 11, rel=1e-9)
         assert rep.degree == 10
 
+    @pytest.mark.parametrize("kind", ["task", "query", "covariate"])
+    def test_each_kind_reads_its_own_factor_pair(self, kind):
+        pd = icl.PromptDistribution.gaussian(1, 5)
+        shifted = dist.Gaussian([2.0], [[1.0]])
+        factors = {"covariate": (shifted, pd.p_x_query, pd.p_h),
+                   "query": (pd.p_x, shifted, pd.p_h),
+                   "task": (pd.p_x, pd.p_x_query, shifted)}[kind]
+        target = icl.PromptDistribution(*factors, 5)
+        rep = icl.shift_report(random_params(1, 5.0, 0, scale=0.2), pd, target, kind,
+                               McSpec(2_000, 4), exponent=10)
+        # (1 + 2/sqrt(2 pi))^11
+        assert rep.coefficient == pytest.approx(634.424334192866, rel=1e-13)
+        assert rep.bridge == "bridgeNd(|mu|=2, dim=1)"
+        assert rep.satisfied
+
+    def test_joint_shift_has_an_infinite_bound_that_holds(self):
+        # the joint kind has no catalog bridge; its rhs_se used to be nan, so
+        # the report read satisfied = False under an infinite bound
+        pd = icl.PromptDistribution.gaussian(1, 5)
+        shifted = dist.Gaussian([2.0], [[1.0]])
+        target = icl.PromptDistribution(shifted, shifted, shifted, 5)
+        rep = icl.shift_report(random_params(1, 5.0, 0, scale=0.2), pd, target, "joint",
+                               McSpec(2_000, 4), exponent=10)
+        assert (rep.coefficient, rep.rhs, rep.bridge) == (math.inf, math.inf, "none")
+        assert rep.rhs_se == math.inf
+        assert rep.satisfied
+
     def test_batched_reports_match_single_target_reports(self, monkeypatch):
         pd = icl.PromptDistribution.gaussian(1, 5)
         params = random_params(1, 5.0, 0, scale=0.2)

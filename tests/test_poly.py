@@ -378,6 +378,14 @@ class TestMcFunctional:
         with pytest.raises(poly.NonFiniteValueError):
             poly.mc_functional(bad, u, McSpec(100, 3))
 
+    @pytest.mark.parametrize("g", [lambda x: x, lambda x: float(x[0, 0]), lambda x: x[:-1, 0]],
+                             ids=["two-columns", "scalar", "short"])
+    def test_g_must_map_rows_to_values(self, g):
+        # a g of another shape used to fall back to one call per point
+        u = dist.UniformBox([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            poly.mc_functional(g, u, McSpec(10, 0))
+
     def test_chunked_partition_is_deterministic_and_close(self):
         g = dist.Gaussian([0.0], [[1.0]])
         fn = lambda x: x[:, 0] ** 2

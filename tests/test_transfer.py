@@ -247,6 +247,20 @@ class TestVerifyTransfer:
         with pytest.raises(ValueError, match="not log-concave"):
             transfer.verify_transfer(f, p, dist.Product([g, two_sided]), 1, hp)
 
+    @pytest.mark.parametrize("alpha", [math.inf, 2.0])
+    def test_no_bridge_is_the_target_as_bridge(self, alpha):
+        # without a bridge Q is its own bridge: the same numbers, bit for bit
+        f = poly.MultiPoly(1, 2, poly.MONOMIAL, {(0,): 0.5, (1,): -0.2, (2,): 1.0})
+        p, q = dist.Gaussian([0.5], [[1.0]]), dist.Gaussian([0.0], [[1.0]])
+        hp = transfer.HolderPair.from_alpha(alpha)
+        mc = McSpec(5_000, 7)
+        alone = transfer.verify_transfer(f, p, q, 2, hp, mc=mc)
+        bridged = transfer.verify_transfer(f, p, q, 2, hp, bridge=q, mc=mc)
+        assert (alone.coefficient, alone.lhs, alone.rhs) == \
+            (bridged.coefficient, bridged.lhs, bridged.rhs)
+        assert math.isfinite(alone.coefficient) and alone.coefficient > 1.0
+        assert (alone.bridge, bridged.bridge) == ("target-is-log-concave", q.label)
+
     def test_non_logconcave_target_requires_bridge(self):
         f = poly.MultiPoly(1, 1, poly.MONOMIAL, {(1,): 1.0})
         p = dist.Gaussian([0.0], [[1.0]])
@@ -363,3 +377,11 @@ class TestReportCsv:
         rep2 = transfer.TransferReport("x", 1, hp, 1.0, "b", 1.0,
                                        1.10, 0.02, 1.0, 0.0)
         assert not rep2.satisfied
+
+    @pytest.mark.parametrize("rhs_se", [math.nan, 0.0, math.inf])
+    def test_infinite_rhs_is_satisfied(self, rhs_se):
+        # an infinite coefficient with a nan standard error used to read False
+        hp = transfer.HolderPair(math.inf, 1.0)
+        rep = transfer.TransferReport("x", 1, hp, 1.0, "b", math.inf,
+                                      1.0e9, 0.5, math.inf, rhs_se)
+        assert rep.satisfied
