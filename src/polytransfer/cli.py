@@ -31,6 +31,8 @@ import itertools
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from .mc import McSpec, mean_and_stderr
@@ -58,101 +60,58 @@ def _floats(s: str):
     return tuple(float(v) for v in s.replace(",", " ").split())
 
 
+def _ints(s: str):
+    """Integers; integral floats such as ``25.0`` (a resolved file's form) parse too."""
+    values = _floats(s)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"not integers: {s!r}")
+    return tuple(int(v) for v in values)
+
+
 COMMON_SCHEMA = {
     "experiment": (str, None),
     "seed": (int, 0),
     "out": (str, "runs/out"),
 }
 
-SCHEMAS = {
-    "fig1": {
-        "fig1.n_samples": (int, 10_000),
-        "fig1.degree": (int, 20),
-        "fig1.ridge": (float, 1e-10),
-        "fig1.band_penalty": (float, 3e-3),
-        "fig1.epochs": (int, 150),
-        "fig1.rate": (float, 0.05),
-        "fig1.resolution": (int, 100),
-        "fig1.noise": (float, 0.0),
-    },
-    "fig2": {
-        "fig2.n_samples": (int, 10_000),
-        "fig2.degree": (int, 20),
-        "fig2.ridge": (float, 1e-10),
-        "fig2.band_penalty": (float, 3e-3),
-        "fig2.epochs": (int, 150),
-        "fig2.rate": (float, 0.05),
-        "fig2.poly_epochs": (int, 300),
-        "fig2.poly_rate": (float, 0.01),
-        "fig2.poly_init_scale": (float, 0.5),
-        "fig2.resolution": (int, 100),
-    },
-    "gaussian1d-coeffs": {
-        "gaussian1d.mus": (_floats, (0.0, 1.0, 2.0, 4.0)),
-        "gaussian1d.degree": (int, 1),
-    },
-    "truncated": {
-        "truncated.thresholds": (_floats, (-1.0, -0.5, 0.0, 0.5, 1.0)),
-        "truncated.constant": (float, 1.25),
-        "truncated.grid_lo": (float, -2.0),
-        "truncated.grid_hi": (float, 2.0),
-        "truncated.grid_points": (int, 21),
-    },
-    "boolean-transfer": {
-        "boolean.n": (int, 16),
-        "boolean.c_gap": (float, 1.0),
-    },
-    "gotu": {
-        "gotu.n": (int, 50),
-        "gotu.depth": (int, 2),
-        "gotu.alpha": (float, 0.05),
-        "gotu.step": (float, 1e-3),
-        "gotu.horizon": (float, 20.0),
-        "gotu.c0": (float, 0.25),
-        "gotu.scaling_ns": (_floats, (25, 50, 100, 200)),
-        "gotu.scaling_seeds": (int, 10),
-        "gotu.scaling_alpha": (float, 0.25),
-        "gotu.scaling_horizon": (float, 15.0),
-    },
-    "icl-shift": {
-        "icl.n": (int, 1),
-        "icl.length": (int, 20),
-        "icl.steps": (int, 20_000),
-        "icl.rate": (float, 1e-2),
-        "icl.batch": (int, 256),
-        "icl.mus": (_floats, (1.0, 2.0, 4.0, 8.0)),
-        "icl.mc": (int, 200_000),
-        "icl.exponent": (int, 10),
-    },
-    "transfer-ensemble": {
-        "ensemble.count": (int, 1000),
-        "ensemble.degrees": (_floats, (1, 2, 3)),
-        "ensemble.constant": (float, 1.0),
-    },
-}
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's ``list`` line, config keys (key -> (parser, default)) and runner."""
+
+    summary: str
+    keys: dict
+    run: Callable[[dict, Path], int]
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def experiment(name: str, summary: str, keys: dict):
+    """Declare the decorated runner as experiment ``name``."""
+    def register(run):
+        EXPERIMENTS[name] = Experiment(summary, keys, run)
+        return run
+    return register
 
 
 def resolve_config(raw: dict) -> dict:
     name = raw.get("experiment")
     if name is None:
         raise ConfigError("missing required key: experiment")
-    if name not in SCHEMAS:
+    if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from "
-                          + ", ".join(sorted(SCHEMAS)))
-    schema = dict(COMMON_SCHEMA)
-    schema.update(SCHEMAS[name])
+                          + ", ".join(sorted(EXPERIMENTS)))
+    schema = {**COMMON_SCHEMA, **EXPERIMENTS[name].keys}
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     resolved = {}
     for key, (conv, default) in schema.items():
-        if key in raw:
-            try:
-                resolved[key] = conv(raw[key])
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad value for {key}: {raw[key]!r}") from e
-        else:
-            resolved[key] = default
+        try:
+            resolved[key] = conv(raw[key]) if key in raw else default
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad value for {key}: {raw[key]!r}") from e
     return resolved
 
 
@@ -314,6 +273,16 @@ def run_figure(cfg: dict, out_dir: Path, *, prefix: str, f_star, seen_lo, seen_h
     return 0
 
 
+@experiment(
+    "fig1", "degree-20 polynomial vs ReLU net on sin(2pix)sin(2piy), seen box [0,1]x[-1,1]",
+    {"fig1.n_samples": (int, 10_000),
+     "fig1.degree": (int, 20),
+     "fig1.ridge": (float, 1e-10),
+     "fig1.band_penalty": (float, 3e-3),
+     "fig1.epochs": (int, 150),
+     "fig1.rate": (float, 0.05),
+     "fig1.resolution": (int, 100),
+     "fig1.noise": (float, 0.0)})
 def run_fig1(cfg: dict, out_dir: Path) -> int:
     import numpy as np
 
@@ -323,6 +292,18 @@ def run_fig1(cfg: dict, out_dir: Path) -> int:
                       band_lo=(-1.0, -2.0), band_hi=(2.0, 2.0), with_poly_net=False)
 
 
+@experiment(
+    "fig2", "adds xy term and a polynomial-activation net, seen box [-1/2,1/2]^2",
+    {"fig2.n_samples": (int, 10_000),
+     "fig2.degree": (int, 20),
+     "fig2.ridge": (float, 1e-10),
+     "fig2.band_penalty": (float, 3e-3),
+     "fig2.epochs": (int, 150),
+     "fig2.rate": (float, 0.05),
+     "fig2.poly_epochs": (int, 300),
+     "fig2.poly_rate": (float, 0.01),
+     "fig2.poly_init_scale": (float, 0.5),
+     "fig2.resolution": (int, 100)})
 def run_fig2(cfg: dict, out_dir: Path) -> int:
     import numpy as np
 
@@ -338,6 +319,10 @@ def run_fig2(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+@experiment(
+    "gaussian1d-coeffs", "bridge coefficients vs the direct Gaussian ratio over a mean sweep",
+    {"gaussian1d.mus": (_floats, (0.0, 1.0, 2.0, 4.0)),
+     "gaussian1d.degree": (int, 1)})
 def run_gaussian1d_coeffs(cfg: dict, out_dir: Path) -> int:
     from . import dist, transfer
 
@@ -358,6 +343,13 @@ def run_gaussian1d_coeffs(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+@experiment(
+    "truncated", "truncated-regression MSE transfer over a truncation-mass sweep",
+    {"truncated.thresholds": (_floats, (-1.0, -0.5, 0.0, 0.5, 1.0)),
+     "truncated.constant": (float, 1.25),
+     "truncated.grid_lo": (float, -2.0),
+     "truncated.grid_hi": (float, 2.0),
+     "truncated.grid_points": (int, 21)})
 def run_truncated(cfg: dict, out_dir: Path) -> int:
     import numpy as np
 
@@ -388,6 +380,10 @@ def run_truncated(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+@experiment(
+    "boolean-transfer", "seen/unseen hypercube transfer for dictator and low-influence families",
+    {"boolean.n": (int, 16),
+     "boolean.c_gap": (float, 1.0)})
 def run_boolean_transfer(cfg: dict, out_dir: Path) -> int:
     from . import boolean
 
@@ -424,12 +420,24 @@ def run_boolean_transfer(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+@experiment(
+    "gotu", "diagonal-net gradient flow trace and critical-time scaling",
+    {"gotu.n": (int, 50),
+     "gotu.depth": (int, 2),
+     "gotu.alpha": (float, 0.05),
+     "gotu.step": (float, 1e-3),
+     "gotu.horizon": (float, 20.0),
+     "gotu.c0": (float, 0.25),
+     "gotu.scaling_ns": (_ints, (25, 50, 100, 200)),
+     "gotu.scaling_seeds": (int, 10),
+     "gotu.scaling_alpha": (float, 0.25),
+     "gotu.scaling_horizon": (float, 15.0)})
 def run_gotu(cfg: dict, out_dir: Path) -> int:
     import numpy as np
 
     from . import gotu
 
-    n, depth = cfg["gotu.n"], int(cfg["gotu.depth"])
+    n, depth = cfg["gotu.n"], cfg["gotu.depth"]
     k = 0
     c0 = cfg["gotu.c0"]
     target = gotu.LinearTarget(0.0, np.eye(n)[k])
@@ -445,7 +453,7 @@ def run_gotu(cfg: dict, out_dir: Path) -> int:
 
     # critical-time scaling: spread-coefficient target so tau(0) ~ 1/n < c0
     scaling_rows = []
-    for n_i in (int(v) for v in cfg["gotu.scaling_ns"]):
+    for n_i in cfg["gotu.scaling_ns"]:
         t_targ = gotu.LinearTarget(0.0, np.ones(n_i))
         for s in range(cfg["gotu.scaling_seeds"]):
             seed_s = replicate_seed(cfg["seed"], s)
@@ -460,6 +468,16 @@ def run_gotu(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+@experiment(
+    "icl-shift", "linear self-attention training plus task-shift loss ratios",
+    {"icl.n": (int, 1),
+     "icl.length": (int, 20),
+     "icl.steps": (int, 20_000),
+     "icl.rate": (float, 1e-2),
+     "icl.batch": (int, 256),
+     "icl.mus": (_floats, (1.0, 2.0, 4.0, 8.0)),
+     "icl.mc": (int, 200_000),
+     "icl.exponent": (int, 10)})
 def run_icl_shift(cfg: dict, out_dir: Path) -> int:
     import numpy as np
 
@@ -487,11 +505,16 @@ def run_icl_shift(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+@experiment(
+    "transfer-ensemble", "random-polynomial ratio ensembles against the coefficient bound",
+    {"ensemble.count": (int, 1000),
+     "ensemble.degrees": (_ints, (1, 2, 3)),
+     "ensemble.constant": (float, 1.0)})
 def run_transfer_ensemble(cfg: dict, out_dir: Path) -> int:
     from . import transfer
 
     rows = []
-    for d in (int(v) for v in cfg["ensemble.degrees"]):
+    for d in cfg["ensemble.degrees"]:
         worst = transfer.ensemble_max_ratio((0.0, 1.0), (0.0, 3.0), d,
                                             cfg["ensemble.count"], cfg["seed"])
         coeff = transfer.logconcave_transfer_coefficient(
@@ -502,36 +525,12 @@ def run_transfer_ensemble(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-RUNNERS = {
-    "fig1": run_fig1,
-    "fig2": run_fig2,
-    "gaussian1d-coeffs": run_gaussian1d_coeffs,
-    "truncated": run_truncated,
-    "boolean-transfer": run_boolean_transfer,
-    "gotu": run_gotu,
-    "icl-shift": run_icl_shift,
-    "transfer-ensemble": run_transfer_ensemble,
-}
-
-
-EXPERIMENT_SUMMARIES = {
-    "fig1": "degree-20 polynomial vs ReLU net on sin(2pix)sin(2piy), seen box [0,1]x[-1,1]",
-    "fig2": "adds xy term and a polynomial-activation net, seen box [-1/2,1/2]^2",
-    "gaussian1d-coeffs": "bridge coefficients vs the direct Gaussian ratio over a mean sweep",
-    "truncated": "truncated-regression MSE transfer over a truncation-mass sweep",
-    "boolean-transfer": "seen/unseen hypercube transfer for dictator and low-influence families",
-    "gotu": "diagonal-net gradient flow trace and critical-time scaling",
-    "icl-shift": "linear self-attention training plus task-shift loss ratios",
-    "transfer-ensemble": "random-polynomial ratio ensembles against the coefficient bound",
-}
-
-
 def run(config_path: str) -> int:
     raw = parse_config_text(Path(config_path).read_text())
     cfg = resolve_config(raw)
     out_dir = _out_dir(cfg)
     write_resolved(cfg, out_dir)
-    return RUNNERS[cfg["experiment"]](cfg, out_dir)
+    return EXPERIMENTS[cfg["experiment"]].run(cfg, out_dir)
 
 
 def main(argv=None) -> int:
@@ -544,8 +543,8 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="print the experiment catalog")
     args = parser.parse_args(argv)
     if args.command == "list":
-        for name in sorted(RUNNERS):
-            print(f"{name:20s} {EXPERIMENT_SUMMARIES[name]}")
+        for name, exp in sorted(EXPERIMENTS.items()):
+            print(f"{name:20s} {exp.summary}")
         return 0
     if args.command == "run":
         try:

@@ -696,11 +696,14 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
 
     alpha = +inf routes to the density-ratio sup.  An infinite ratio at a
     sampled point yields +inf with a flag rather than a silent average.
+    D_alpha(Q || Q) = 1 exactly, with no draws.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if P.dim != Q.dim:
         raise DimensionMismatchError("densities must share a dimension")
+    if P is Q:
+        return McEstimate(1.0, 0.0)
     if math.isinf(alpha):
         val = density_ratio_sup(P, Q, grid)
         return McEstimate(float(val), 0.0)

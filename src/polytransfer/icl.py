@@ -322,7 +322,8 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
 # Distribution-shift reports
 # ---------------------------------------------------------------------------
 
-SHIFT_KINDS = ("task", "query", "covariate", "joint")
+# shift kind -> the prompt factor it shifts (``joint`` shifts several)
+SHIFT_KINDS = {"task": "p_h", "query": "p_x_query", "covariate": "p_x", "joint": None}
 
 
 def shift_report(params: LSAParams, source: PromptDistribution,
@@ -346,7 +347,7 @@ def shift_reports(params: LSAParams, source: PromptDistribution, targets,
     factors the targets share once, so each report equals its single-target
     call."""
     if kind not in SHIFT_KINDS:
-        raise ValueError(f"shift kind must be one of {SHIFT_KINDS}")
+        raise ValueError(f"shift kind must be one of {tuple(SHIFT_KINDS)}")
     l_p = population_loss(source, params, mc.child(Tag.SOURCE))
     if l_p.value <= 3.0 * l_p.stderr:
         raise ValueError("source loss is degenerate (within 3 se of zero)")
@@ -359,14 +360,8 @@ def shift_reports(params: LSAParams, source: PromptDistribution, targets,
 def _shift_report(source, target, kind, l_p, l_q, exponent, constant):
     coefficient = math.inf
     bridge_label = "none"
-    if kind == "task":
-        pair = (source.p_h, target.p_h)
-    elif kind == "query":
-        pair = (source.p_x_query, target.p_x_query)
-    elif kind == "covariate":
-        pair = (source.p_x, target.p_x)
-    else:
-        pair = None
+    factor = SHIFT_KINDS[kind]
+    pair = None if factor is None else (getattr(source, factor), getattr(target, factor))
     if pair is not None and all(isinstance(p, dist.Gaussian) for p in pair):
         p_fac, q_fac = pair
         if np.allclose(p_fac.cov, np.eye(p_fac.dim)) and np.allclose(q_fac.cov, np.eye(q_fac.dim)):

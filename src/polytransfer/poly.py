@@ -117,6 +117,7 @@ _KERNEL_ROWS = 32  # rows per gather in _tensor_columns; sizes its only temporar
 # rows per block in MultiPoly.eval and in regularized fits: a degree-20 block in
 # two variables (231 columns) is 0.9 MiB, so one block stays in a 2 MiB L2
 _EVAL_ROWS = 512
+MC_BLOCK = 2 * _EVAL_ROWS  # rows per mc_functional block: whole _EVAL_ROWS blocks
 
 
 def _tensor_columns(tables, alphas, out=None) -> np.ndarray:
@@ -359,27 +360,25 @@ def _eval_batch(g, x):
     return v
 
 
-def mc_functional(g, density, mc: McSpec, chunks: int = 1) -> McEstimate:
+def mc_functional(g, density, mc: McSpec) -> McEstimate:
     """Sample mean and standard error of g under the density.
 
     ``g`` maps (m, dim) rows to m values; any other shape raises
     ``ValueError``.  Deterministic given the seed and path.  The draws
-    ``density.sample(mc.n_samples, mc.seed, mc.path)`` are evaluated in
-    ``chunks`` blocks of one stream, so ``chunks`` leaves the estimate
-    unchanged bit for bit (for a ``g`` that evaluates each point on its
-    own).  It bounds the points held at once only for ``Gaussian``,
-    ``UniformBox`` and their products; the other densities draw the full
-    sample first and hand it out in slices.  Non-finite values abort with
-    the offending point.
+    ``density.sample(mc.n_samples, mc.seed, mc.path)`` are evaluated
+    ``MC_BLOCK`` rows at a time from one stream, so the block size leaves
+    the estimate unchanged bit for bit (for a ``g`` that evaluates each
+    point on its own).  It bounds the points held at once only for
+    ``Gaussian``, ``UniformBox`` and their products; the other densities
+    draw the full sample first and hand it out in slices.  Non-finite
+    values abort with the offending point.
     """
-    if chunks < 1:
-        raise ValueError("chunks must be >= 1")
     v = np.empty(mc.n_samples)
     start = 0
-    for x in density.blocks(mc.n_samples, mc.seed, mc.path, -(-mc.n_samples // chunks)):
+    for x in density.blocks(mc.n_samples, mc.seed, mc.path, MC_BLOCK):
         v[start:start + x.shape[0]] = _eval_batch(g, x)
         start += x.shape[0]
-    return mean_and_stderr(v)
+    return mean_and_stderr(v, overwrite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,35 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="experiment"):
             cli.resolve_config({})
 
+    @pytest.mark.parametrize("experiment, key", [("gotu", "gotu.scaling_ns"),
+                                                 ("transfer-ensemble", "ensemble.degrees")])
+    @pytest.mark.parametrize("value", ["8.7", "8 1.9", "inf", "nan"])
+    def test_integer_lists_reject_non_integers(self, experiment, key, value):
+        # the runners used to truncate these: 8.7 ran n = 8 and 1.9 ran degree 1
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.resolve_config({"experiment": experiment, key: value})
+
+    @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+    def test_resolved_file_resolves_to_the_same_values(self, experiment, tmp_path):
+        cfg = cli.resolve_config({"experiment": experiment})
+        cli.write_resolved(cfg, tmp_path)
+        text = (tmp_path / "config.resolved.txt").read_text()
+        again = cli.resolve_config(cli.parse_config_text(text))
+        assert {k: repr(v) for k, v in again.items()} == {k: repr(v) for k, v in cfg.items()}
+
+
+def test_readme_lists_exactly_the_registered_experiments():
+    readme = Path(polytransfer.__file__).resolve().parents[2] / "README.md"
+    table = readme.read_text().split("\nExperiments:\n", 1)[1].strip().split("\n\n")[0]
+    names = [row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]]
+    assert sorted(names) == sorted(cli.EXPERIMENTS)
+
 
 class TestMain:
     def test_list_prints_catalog(self, capsys):
         assert cli.main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in cli.RUNNERS:
+        for name in cli.EXPERIMENTS:
             assert name in out
 
     def test_unknown_experiment_nonzero_exit(self, tmp_path, capsys):
@@ -389,7 +412,7 @@ class TestImports:
         assert "hashlib" not in loaded   # only derived streams import it
 
     def test_small_runs_cover_every_experiment(self):
-        assert set(SMALL_RUNS) == set(cli.RUNNERS)
+        assert set(SMALL_RUNS) == set(cli.EXPERIMENTS)
 
     @pytest.mark.parametrize("experiment", sorted(SMALL_RUNS))
     def test_run_loads_no_scipy(self, tmp_path, experiment):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm, truncnorm
 
 from polytransfer import dist, trunc
-from polytransfer.mc import McSpec
+from polytransfer.mc import McEstimate, McSpec
 from polytransfer.rng import Tag, make_rng
 
 PATHS = st.lists(st.integers(0, 2 ** 64 - 1), max_size=3).map(tuple)
@@ -468,6 +468,19 @@ class TestRenyi:
             est = dist.renyi_divergence(g, g, alpha, McSpec(2000, 0))
             assert est.value == pytest.approx(1.0, abs=1e-12)
             assert est.stderr == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("name", sorted(CONTRACT_DENSITIES))
+    def test_equal_pair_draws_and_evaluates_nothing(self, name, alpha, monkeypatch):
+        # D(Q || Q) used to draw mc.n_samples points (or search a ratio grid) to read 1
+        def fail(*args, **kwargs):
+            raise AssertionError("drew or evaluated")
+
+        monkeypatch.setattr(dist, "make_rng", fail)
+        for cls in _catalog_classes():
+            monkeypatch.setattr(cls, "_pdf", fail)
+        d = CONTRACT_DENSITIES[name]
+        assert dist.renyi_divergence(d, d, alpha, McSpec(100_000, 0)) == McEstimate(1.0, 0.0)
 
     def test_alpha_one_is_always_one(self):
         p = dist.UniformBox([0.0], [1.0])

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from polytransfer import dist, poly
-from polytransfer.mc import McSpec
+from polytransfer.mc import McSpec, mean_and_stderr
 
 
 def legendre_projection_1d(fn, degree, a, b):
@@ -390,21 +390,39 @@ class TestMcFunctional:
         g = dist.Gaussian([0.0], [[1.0]])
         fn = lambda x: x[:, 0] ** 2
         whole = poly.mc_functional(fn, g, McSpec(40_000, 5))
-        split_a = poly.mc_functional(fn, g, McSpec(40_000, 5), chunks=4)
-        split_b = poly.mc_functional(fn, g, McSpec(40_000, 5), chunks=4)
-        assert split_a.value == split_b.value  # derived streams are fixed
-        assert split_a.value == pytest.approx(whole.value,
-                                              abs=3 * (whole.stderr + split_a.stderr))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "MC_BLOCK", 10_000)
+            split_a = poly.mc_functional(fn, g, McSpec(40_000, 5))
+            split_b = poly.mc_functional(fn, g, McSpec(40_000, 5))
+        assert split_a == split_b  # one stream, read block by block
+        assert split_a == whole
 
     @given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_chunks_leave_the_product_estimate_unchanged(self, n, seed):
         # chunk i used to read stream i + 1, which at chunks >= 18 aliased the
         # product's factor streams (stream + 17 (i + 1)) and repeated draws
-        d = dist.Product([dist.Gaussian([0.0], [[1.0]]), dist.Gaussian([0.0], [[1.0]])])
+        d = dist.Product([dist.Gaussian([0.0], [[1.0]]), dist.UniformBox([-1.0], [2.0])])
         fn = lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1]
-        ests = [poly.mc_functional(fn, d, McSpec(n, seed), chunks=k) for k in (1, 4, 18, 20)]
-        assert all(e == ests[0] for e in ests[1:])
+        whole = mean_and_stderr(fn(d.sample(n, seed)))
+        for block in (1, 7, 1000, n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(poly, "MC_BLOCK", block)
+                assert poly.mc_functional(fn, d, McSpec(n, seed)) == whole
+
+    def test_peak_memory_is_bounded(self):
+        import tracemalloc
+
+        g = dist.Gaussian([0.0], [[1.0]])
+        tracemalloc.start()
+        try:
+            poly.mc_functional(lambda x: x[:, 0] ** 2, g, McSpec(200_000, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~1.6 MiB: the 1.5 MiB of values plus one block; the whole sample,
+        # the values and their copy took ~4.8 MiB
+        assert peak < 2 * 2 ** 20
 
     def test_stderr_scales_as_inverse_sqrt_n(self):
         g = dist.Gaussian([0.0], [[1.0]])
