@@ -21,6 +21,17 @@ imports numpy.  The package needs numpy alone: normal masses and Gaussian
 log-densities are closed forms in ``math`` and numpy, and the
 truncated-Gaussian sampler takes its normal quantile from the standard
 library's ``statistics.NormalDist``.
+
+Importing this module before numpy sets ``OPENBLAS_NUM_THREADS`` to 1
+unless it is already set, so a ``run`` computes on one OpenBLAS thread, also
+when a wrapper imports more modules before it calls ``main``.  The variable
+counts only before OpenBLAS loads, so a process that loaded numpy first, such
+as pytest, gets nothing set and its subprocesses inherit nothing.  No product
+here (at most 512 x 231 blocks in the degree-20 fit, 1024 x 20 in the nets)
+gains from a second thread, while an idle helper thread busy-waits after
+``import numpy`` and after every threaded call.  With OpenBLAS and the
+variable unset, a run's bytes then do not depend on the host's core count:
+``A.T @ A`` in the fit rounds differently on one thread than on several.
 """
 
 from __future__ import annotations
@@ -37,6 +48,9 @@ from pathlib import Path
 
 from .mc import McSpec, mean_and_stderr
 from .rng import Tag, make_rng, replicate_seed
+
+if "numpy" not in sys.modules:   # the variable counts only before OpenBLAS loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 class ConfigError(ValueError):

@@ -374,14 +374,25 @@ EXPERIMENT_MODULES = {f"polytransfer.{m}" for m in (
     "boolean", "dist", "gotu", "heatmap", "icl", "nets", "poly", "transfer", "trunc")}
 
 
-def modules_loaded_by(code: str, cwd) -> set:
-    """Names in sys.modules after a fresh interpreter runs ``code``."""
+def child_env(**variables) -> dict:
+    """Environment of a fresh interpreter that imports this source tree; a
+    variable given as None is removed."""
     env = dict(os.environ)
     env.pop("POLYTRANSFER_OUT", None)
     src = str(Path(polytransfer.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for key, value in variables.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def modules_loaded_by(code: str, cwd) -> set:
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
     script = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=300, check=True)
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -437,6 +448,56 @@ class TestImports:
         (tmp_path / "unknown-key.txt").write_text("experiment = fig1\nfig1.width = 3\n")
         loaded = modules_loaded_by("from polytransfer import cli\n" + code, tmp_path)
         assert "numpy" not in loaded
+
+
+class TestBlasThreads:
+    """Importing the CLI before numpy sets OPENBLAS_NUM_THREADS=1 unless it is set."""
+
+    # how a child process reaches cli.main: as a module, or the way a wrapper
+    # such as perfbench's tracer does, importing the CLI and then modules that
+    # load numpy before it calls main
+    LAUNCHES = {
+        "module": ["-m", "polytransfer.cli"],
+        "wrapped": ["-c", "import sys\nfrom polytransfer import cli, poly\n"
+                          "sys.exit(cli.main(sys.argv[1:]))"],
+    }
+
+    def test_fit_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # A.T @ A in the degree-20 fit rounds differently on one OpenBLAS
+        # thread than on several, so with the library's default of one
+        # thread per core the poly20 rows moved with the host's core count
+        outputs = {}
+        for launch, threads in (("module", "1"), ("module", None), ("wrapped", None)):
+            out = tmp_path / f"{launch}-{threads}"
+            (tmp_path / "c.txt").write_text(
+                f"experiment = fig1\nout = {out}\nfig1.n_samples = 600\nfig1.degree = 20\n"
+                "fig1.epochs = 0\nfig1.resolution = 4\n")
+            subprocess.run([sys.executable, *self.LAUNCHES[launch], "run", "c.txt"],
+                           cwd=tmp_path, env=child_env(OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, timeout=300, check=True)
+            outputs[launch, threads] = (out / "mse.csv").read_bytes()
+        assert outputs["module", None] == outputs["module", "1"]
+        assert outputs["wrapped", None] == outputs["module", "1"]
+
+    @pytest.mark.parametrize("prelude, preset, command, expected", [
+        ("", None, "run", "1"), ("", "2", "run", "2"), ("", None, "list", "1"),
+        ("", "2", "list", "2"),
+        # the variable would no longer take effect, and subprocesses started
+        # later would inherit it
+        ("import numpy\n", None, "run", None)])
+    def test_set_only_before_numpy_and_a_preset_count_is_kept(
+            self, tmp_path, prelude, preset, command, expected):
+        (tmp_path / "c.txt").write_text(
+            f"experiment = transfer-ensemble\nout = {tmp_path / 'run'}\nensemble.count = 20\n")
+        argv = ["run", "c.txt"] if command == "run" else ["list"]
+        script = (f"import os, sys\n{prelude}from polytransfer import cli\n"
+                  f"assert cli.main({argv!r}) == 0\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=child_env(OPENBLAS_NUM_THREADS=preset),
+                              capture_output=True, text=True, timeout=300, check=True)
+        loads_numpy = command == "run" or bool(prelude)
+        assert proc.stdout.splitlines()[-1] == f"{expected} {loads_numpy}"
 
 
 # Calls that share a sample on purpose, as (caller, callee) function names:

@@ -144,6 +144,17 @@ class TestGradientFlow:
         with pytest.raises(ValueError):
             gotu.gradient_flow(net, target_single(4, 0), 0, step=0.5, horizon=1.0)
 
+    def test_accepted_overflowing_step_raises(self):
+        # pi = 1e100 leaves L_S finite, but layer 1's cofactor 1e200 * 1e200
+        # overflows: every halved step gives weights with -inf and L_S = nan,
+        # and the step floor accepts the last one (a flow that accepts it
+        # silently ends within the horizon of two such steps)
+        w = np.array([[1e200, 1.0], [1e-300, 1.0], [1e200, 1.0]])
+        net = gotu.DiagonalLinearNet(2, 3, 0.0, w)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite parameters"):
+            gotu.gradient_flow(net, target_single(2, 0), 0, step=1e-3, horizon=1e-12)
+
     def test_canonical_holdout_run(self):
         n, k = 50, 0
         net = gotu.init_weights(n, 2, 0.05, 0)
