@@ -5,7 +5,9 @@ Functions live on {-1, 1}^n with n <= 24 (a full value table is at most
 128 MiB).  Index convention: point index b encodes x_i = 1 - 2 * bit_i(b),
 i.e. a set bit means the coordinate is -1, so the parity character is
 chi_S(x(b)) = (-1)^popcount(b & S) and the fast transform is the plain
-butterfly.
+butterfly.  The dense kernels are whole-array numpy: the butterfly works
+in place on one copy, and influences and subcube indicators read bit i as
+the middle axis of a (2^(n-1-i), 2, 2^i) reshape, with no 2^n index array.
 
 The transfer check follows the invariance-principle route: under the
 uniform measure Q, a degree-d function f with unit variance and maximum
@@ -46,18 +48,16 @@ def points(n: int) -> np.ndarray:
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard butterfly, O(n 2^n); self-inverse up to 2^n."""
-    v = np.array(values, dtype=float)
+    v = np.array(values, dtype=float).reshape(-1)
     size = v.size
     if size & (size - 1):
         raise ValueError("length must be a power of two")
     h = 1
     while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        right = v[:, h:].copy()
-        v[:, :h] = left + right
-        v[:, h:] = left - right
-        v = v.reshape(-1)
+        pairs = v.reshape(-1, 2, h)   # a view: stage h works in place on v
+        top = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
         h *= 2
     return v
 
@@ -123,10 +123,9 @@ class BooleanFn:
     @property
     def degree(self) -> int:
         f = self if self.coeff_array is not None else fourier_transform(self)
-        (nz,) = np.nonzero(np.abs(f.coeff_array) > 1e-12 * max(1.0, np.abs(f.coeff_array).max()))
-        if nz.size == 0:
-            return 0
-        return int(max(int(s).bit_count() for s in nz))
+        c = np.abs(f.coeff_array)
+        nz = np.flatnonzero(c > 1e-12 * max(1.0, c.max()))
+        return int(np.bitwise_count(nz).max(initial=0))
 
     def variance(self) -> float:
         f = self if self.coeff_array is not None else fourier_transform(self)
@@ -147,16 +146,17 @@ def fourier_transform(f: BooleanFn, direction: str = "both") -> BooleanFn:
 
     direction: "to-fourier", "to-table", or "both" (fill whatever is absent).
     """
-    size = 1 << f.n
+    if direction not in ("to-fourier", "to-table", "both"):
+        raise ValueError(f"direction must be 'to-fourier', 'to-table' or 'both', not {direction!r}")
     table, coeffs = f.table, f.coeff_array
-    if direction in ("to-fourier", "both") and coeffs is None:
-        coeffs = fwht(table) / size
-    if direction in ("to-table", "both") and table is None:
-        table = fwht(coeffs)
-    if direction == "to-fourier" and f.table is None:
+    if direction == "to-fourier" and table is None:
         raise ValueError("no table to transform")
-    if direction == "to-table" and f.coeff_array is None:
+    if direction == "to-table" and coeffs is None:
         raise ValueError("no coefficients to transform")
+    if direction != "to-table" and coeffs is None:
+        coeffs = fwht(table) / (1 << f.n)
+    if direction != "to-fourier" and table is None:
+        table = fwht(coeffs)
     return BooleanFn(f.n, table=table, coeff_array=coeffs)
 
 
@@ -169,17 +169,15 @@ def influences(f: BooleanFn):
     """Per-direction influences Inf_i = sum_{Sni} c_S^2 and their max."""
     g = f if f.coeff_array is not None else fourier_transform(f)
     c2 = g.coeff_array ** 2
-    masks = np.arange(1 << g.n, dtype=np.uint32)
-    inf = np.empty(g.n)
-    for i in range(g.n):
-        inf[i] = float(c2[(masks >> i) & 1 == 1].sum())
+    # masks with bit i set, in index order (at i = n - 1 a view of c2: read only)
+    inf = np.array([c2.reshape(-1, 2, 1 << i)[:, 1].ravel().sum() for i in range(g.n)])
     return inf, float(inf.max())
 
 
 def total_influence(f: BooleanFn) -> float:
     """sum_i Inf_i = sum_S |S| c_S^2."""
     g = f if f.coeff_array is not None else fourier_transform(f)
-    sizes = np.array([int(s).bit_count() for s in range(1 << g.n)], dtype=float)
+    sizes = np.bitwise_count(np.arange(1 << g.n, dtype=np.uint32)).astype(float)
     return float(np.sum(sizes * g.coeff_array ** 2))
 
 
@@ -241,10 +239,9 @@ class FrozenCoordinateSet(SeenSet):
     def indicator(self, n: int) -> np.ndarray:
         if not 0 <= self.index < n:
             raise ValueError("index out of range")
-        idx = np.arange(1 << n, dtype=np.uint32)
-        bit = (idx >> self.index) & 1
-        want = 1 if self.value == -1 else 0
-        return bit == want
+        ind = np.zeros((1 << (n - 1 - self.index), 2, 1 << self.index), dtype=bool)
+        ind[:, 1 if self.value == -1 else 0] = True   # middle axis: bit `index`
+        return ind.reshape(-1)
 
 
 @dataclass(frozen=True)

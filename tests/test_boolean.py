@@ -21,6 +21,96 @@ def enumeration_influence(f, i):
     return float(np.mean(((t - t[flipped]) / 2.0) ** 2))
 
 
+# Reference kernels: the straightforward forms the vectorized kernels in
+# `boolean` must reproduce bit for bit.
+
+
+def ref_fwht(values):
+    """Butterfly with two half copies per stage."""
+    v = np.array(values, dtype=float)
+    h = 1
+    while h < v.size:
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        right = v[:, h:].copy()
+        v[:, :h] = left + right
+        v[:, h:] = left - right
+        v = v.reshape(-1)
+        h *= 2
+    return v
+
+
+def ref_influences(c):
+    """Masked gather over a 2^n index array."""
+    c2 = c ** 2
+    masks = np.arange(c.size, dtype=np.uint32)
+    inf = np.empty(c.size.bit_length() - 1)
+    for i in range(inf.size):
+        inf[i] = float(c2[(masks >> i) & 1 == 1].sum())
+    return inf, float(inf.max())
+
+
+def ref_total_influence(c):
+    sizes = np.array([int(s).bit_count() for s in range(c.size)], dtype=float)
+    return float(np.sum(sizes * c ** 2))
+
+
+def ref_degree(c):
+    (nz,) = np.nonzero(np.abs(c) > 1e-12 * max(1.0, np.abs(c).max()))
+    return int(max(int(s).bit_count() for s in nz)) if nz.size else 0
+
+
+def ref_indicator(n, index, value):
+    bit = (np.arange(1 << n, dtype=np.uint32) >> index) & 1
+    return bit == (1 if value == -1 else 0)
+
+
+sparse_arrays = st.tuples(st.integers(1, 12), st.integers(0, 2 ** 31 - 1),
+                          st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+
+
+def draw_array(n, seed, zero_frac):
+    """Standard normal values of length 2^n, a share of them exactly zero."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(1 << n)
+    a[rng.random(1 << n) < zero_frac] = 0.0
+    return a
+
+
+class TestKernelsMatchReferences:
+    @given(sparse_arrays)
+    @settings(max_examples=60, deadline=None)
+    def test_fwht(self, case):
+        table = draw_array(*case)
+        assert np.array_equal(boolean.fwht(table), ref_fwht(table))
+
+    @given(sparse_arrays)
+    @settings(max_examples=60, deadline=None)
+    def test_influences_and_total(self, case):
+        c = draw_array(*case)
+        f = boolean.BooleanFn(case[0], coeff_array=c.copy())
+        inf, tau = boolean.influences(f)
+        ref_inf, ref_tau = ref_influences(c)
+        assert np.array_equal(inf, ref_inf) and tau == ref_tau
+        assert np.array_equal(f.coeff_array, c)  # the i = n - 1 half is a view
+        assert boolean.total_influence(f) == ref_total_influence(c)
+
+    @given(sparse_arrays)
+    @settings(max_examples=60, deadline=None)
+    def test_degree(self, case):
+        c = draw_array(*case)
+        assert boolean.BooleanFn(case[0], coeff_array=c).degree == ref_degree(c)
+
+    @given(st.integers(1, 12))
+    @settings(max_examples=12, deadline=None)
+    def test_frozen_coordinate_indicator(self, n):
+        for index in range(n):
+            for value in (-1, 1):
+                ind = boolean.FrozenCoordinateSet(index, value).indicator(n)
+                assert ind.dtype == bool
+                assert np.array_equal(ind, ref_indicator(n, index, value))
+
+
 class TestTransform:
     def test_single_coordinate(self):
         f = boolean.BooleanFn.from_callable(2, lambda x: x[0])
@@ -50,6 +140,11 @@ class TestTransform:
         lhs = float(np.sum(f.coeff_array ** 2))
         rhs = float(np.mean(f.table ** 2))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_unknown_direction_rejected(self):
+        f = boolean.BooleanFn.from_fourier(3, {1: 1.0})
+        with pytest.raises(ValueError, match="'to-fourier', 'to-table' or 'both'"):
+            boolean.fourier_transform(f, "to_table")
 
     def test_size_cap(self):
         with pytest.raises(boolean.EnumerationTooLargeError):
@@ -224,6 +319,14 @@ class TestTransferReport:
         assert rep.lhs == pytest.approx(1.0)
         assert rep.satisfied
         assert rep.coefficient == pytest.approx(4.0)
+
+    def test_dictator_at_max_n(self):
+        f = boolean.BooleanFn.from_fourier(boolean.MAX_N, {1: 1.0})
+        rep = boolean.transfer_report(f, boolean.FrozenCoordinateSet(0, 1))
+        assert (rep.degree, rep.tau, rep.mass) == (1, 1.0, 0.5)
+        assert (rep.lhs, rep.source_moment) == (1.0, 1.0)
+        assert rep.condition_holds is False
+        assert rep.satisfied is None
 
     def test_unnormalized_rejected(self):
         f = boolean.BooleanFn.from_fourier(4, {1: 2.0})

@@ -134,6 +134,41 @@ class TestPopulationLoss:
         assert icl.predict_query(shuffled, params) == pytest.approx(base, rel=1e-12)
 
 
+def exact_loss_n1(params, length, mu):
+    """Closed-form population loss at n = 1 for x_m, x_q ~ N(0, 1), w ~ N(mu, 1).
+
+    With r the last row of W_PV, k = W_KQ[:, 0] and S = sum_m x_m^2 (chi^2 with
+    N = length degrees of freedom), the prediction is x_q (S p(w) / rho) + B x_q^3,
+    p(w) = (r_x + r_y w)(k_x + k_y w) and B = r_x k_x / rho.  The error is
+    x_q (A + B x_q^2) with A = S p(w) / rho - w, and x_q is independent of A, so
+    the loss is E[A^2] + 6 B E[A] + 15 B^2 (E x_q^2, x_q^4, x_q^6 = 1, 3, 15).
+    """
+    (rx, ry), (kx, ky), rho = params.w_pv[-1], params.w_kq[:, 0], params.rho
+    a = (rx * kx, rx * ky + ry * kx, ry * ky)        # p(w) = a0 + a1 w + a2 w^2
+    m = (1.0, mu, mu ** 2 + 1, mu ** 3 + 3 * mu, mu ** 4 + 6 * mu ** 2 + 3)  # E w^j
+    e_p = sum(a[i] * m[i] for i in range(3))
+    e_wp = sum(a[i] * m[i + 1] for i in range(3))
+    e_p2 = sum(a[i] * a[j] * m[i + j] for i in range(3) for j in range(3))
+    e_s, e_s2 = length, length ** 2 + 2 * length
+    e_a = e_s * e_p / rho - mu
+    e_a2 = e_s2 * e_p2 / rho ** 2 - 2 * e_s * e_wp / rho + m[2]
+    b = rx * kx / rho
+    return e_a2 + 6 * b * e_a + 15 * b * b
+
+
+class TestPopulationLossOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_matches_closed_form_at_n1(self, seed, mu):
+        length = 20
+        params = icl.LSAParams.random(1, 20.0, seed, scale=0.5)
+        g = dist.Gaussian([0.0], [[1.0]])
+        pd = icl.PromptDistribution(g, g, dist.Gaussian([mu], [[1.0]]), length)
+        est = icl.population_loss(pd, params, McSpec(200_000, 0))
+        exact = exact_loss_n1(params, length, mu)
+        assert abs(est.value - exact) <= 4 * est.stderr, (est, exact)
+
+
 def whole_batch_loss(pd, params, mc):
     """Reference: the loss of ``population_loss``'s prompts evaluated as one batch."""
     X, xq, W = icl._sample_batch(pd, mc.n_samples, mc.seed, mc.path)
