@@ -2,8 +2,9 @@
 
 Provides the closed set of densities used throughout the package: Gaussians,
 uniform boxes, truncated Gaussians, 1-D products, and the log-concave
-"bridge" densities that interpolate between a base density and its translate
-(``bridge_1d(mu)`` is ``bridge_nd([mu])``).
+"bridge" densities that interpolate between a base density (a Gaussian or a
+product) and its translate: one ``Bridge`` envelope sup_{t in [0, gamma]}
+base(x - t v) / Z (``bridge_1d(mu)`` is ``bridge_nd([mu])``).
 On top of the catalog it implements density-ratio sups over adaptive grids,
 Rényi divergences, Gaussian mass of truncation sets, and bridge construction.
 
@@ -14,9 +15,11 @@ base class's ``pdf`` accepts a point (returning a float) or rows (returning
 that array).  Code inside the package calls ``_pdf`` on rows.  Sampling is
 deterministic given ``(seed, path)`` (:mod:`polytransfer.rng`); factor i of a
 product draws at ``path + (Tag.FACTOR, i)``, rejection round i at ``path +
-(Tag.ATTEMPT, i)``.  ``blocks(n, seed, path, size)`` yields row blocks of at
-most ``size`` that concatenate to ``sample(n, seed, path)`` bit for bit; Gaussians,
-uniform boxes and their products hold one block at a time (bounded memory).
+(Tag.ATTEMPT, i)``; a bridge draws its base at ``path`` and its plateau
+uniforms at ``path + (Tag.PLATEAU,)``.  ``blocks(n, seed, path, size)`` yields
+row blocks of at most ``size`` that concatenate to ``sample(n, seed, path)``
+bit for bit; Gaussians, uniform boxes and their products hold one block at a
+time (bounded memory).
 """
 
 from __future__ import annotations
@@ -403,167 +406,82 @@ class TruncatedGaussian(Density):
         return lo, hi
 
 
-class GaussianBridge(Density):
-    """Log-concave bridge between N(m, cov) and its translate N(m + shift, cov).
+class Bridge(Density):
+    """Bridge between a base density and its translate by ``gamma * v``.
 
-    Realized as the normalized upper envelope of the translates
-    ``sup_{t in [0, gamma]} N(0, cov; z - t e1)`` in coordinates where the
-    shift points along e1 (an orthogonal rotation maps inputs there).  The
-    envelope fills the gap between the two modes with the ridge of the base
-    density, keeping both density ratios bounded by the normalizer
-    ``Z = 1 + gamma * sqrt((cov^-1)_11 / (2 pi))``.
+    The normalized envelope ``sup_{t in [0, gamma]} base(x - t v) / Z`` of
+    the translates along the unit direction v.  The base's coordinate along
+    v is c(x) = row . x / row . v, and x - c(x) v is independent of it; with
+    f_c, the density of c, peaking at 0 the sup is at t = clip(c(x), 0,
+    gamma), which defines the density: the base's ridge held across the gap,
+    and Z = 1 + gamma * f_c(0).  Draws take the base at ``path`` and two
+    uniforms per row at ``path + (Tag.PLATEAU,)``: with probability
+    (Z - 1)/Z the row's c moves to a uniform point of [0, gamma], otherwise
+    a c > 0 moves to c + gamma.  The mass 1/Z off the plateau puts f_c on
+    each side of it, so the draws are exact for any f_c.
     """
+
+    def __init__(self, base: Density, gamma: float, direction, row, peak: float):
+        if gamma < 0:
+            raise ValueError("gamma must be >= 0")
+        if peak <= 0:
+            raise ValueError("the base's coordinate must have positive density at 0")
+        self.base, self.dim, self.gamma = base, base.dim, float(gamma)
+        self.direction = np.asarray(direction, dtype=float)
+        self._row = np.asarray(row, dtype=float)
+        self._row_v = float(self._row @ self.direction)
+        self.z_const = 1.0 + self.gamma * peak
+
+    def _coordinate(self, pts):
+        return (pts @ self._row) / self._row_v
+
+    def _pdf(self, pts):
+        t = np.clip(self._coordinate(pts), 0.0, self.gamma)
+        return self.base._pdf(pts - np.outer(t, self.direction)) / self.z_const
+
+    def sample(self, n, seed, path=()):
+        x = self.base.sample(n, seed, path)
+        c = self._coordinate(x)
+        u, spot = make_rng(seed, *path, Tag.PLATEAU).random((2, n))
+        p_mid = (self.z_const - 1.0) / self.z_const
+        moved = np.where(u < p_mid, self.gamma * spot, np.where(c > 0, c + self.gamma, c))
+        return x + np.outer(moved - c, self.direction)
+
+    def bounding_box(self):
+        lo, hi = self.base.bounding_box()
+        shift = self.gamma * self.direction
+        return np.minimum(lo, lo + shift), np.maximum(hi, hi + shift)
+
+
+class GaussianBridge(Bridge):
+    """Bridge between N(0, cov) and its translate by ``gamma * direction``
+    (a unit vector, e1 by default); ``Z = 1 + gamma * sqrt(v' cov^-1 v / (2 pi))``."""
 
     log_concave = True
 
-    def __init__(self, gamma: float, cov, rotation=None, label: str | None = None):
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        self.gamma = float(gamma)
-        self.base = Gaussian(np.zeros(len(np.atleast_1d(cov))), cov)
-        self.dim = self.base.dim
-        self.rotation = None if rotation is None else np.asarray(rotation, dtype=float)
-        self._prec = np.linalg.inv(self.base.cov)
-        self._a11 = float(self._prec[0, 0])  # equals det(cov')/det(cov) by Cramer's rule
-        self.z_const = 1.0 + self.gamma * math.sqrt(self._a11 / (2 * math.pi))
+    def __init__(self, gamma: float, cov, direction=None, label: str | None = None):
+        base = Gaussian(np.zeros(len(np.atleast_1d(cov))), cov)
+        v = np.eye(base.dim)[0] if direction is None else np.asarray(direction, dtype=float)
+        row = v @ np.linalg.inv(base.cov)
+        super().__init__(base, gamma, v, row, math.sqrt(float(row @ v) / (2 * math.pi)))
         self.label = label or f"gaussian-bridge(gamma={self.gamma:.4g}, dim={self.dim})"
 
-    def _rotate(self, pts):
-        return pts if self.rotation is None else pts @ self.rotation.T
 
-    def _unrotate(self, pts):
-        return pts if self.rotation is None else pts @ self.rotation
+class ProductBridge(Bridge):
+    """Bridge from a product of 1-D factor densities to its translate along e1.
 
-    def _pdf(self, pts):
-        pts = self._rotate(pts)
-        t = np.clip((pts @ self._prec[0]) / self._a11, 0.0, self.gamma)
-        shifted = pts.copy()
-        shifted[:, 0] -= t
-        return self.base._pdf(shifted) / self.z_const
-
-    def sample(self, n, seed, path=()):
-        rng = make_rng(seed, *path)
-        z = rng.standard_normal((n, self.dim)) @ self.base._chol.T
-        c = (z @ self._prec[0]) / self._a11          # N(0, 1/a11), indep of the projection
-        proj = z - np.outer(c, np.eye(self.dim)[0])  # component with (prec x)_1 = 0
-        u = rng.random(n)
-        p_mid = (self.z_const - 1.0) / self.z_const
-        p_left = 0.5 / self.z_const
-        x1 = np.empty(n)
-        mid = u < p_mid
-        left = (~mid) & (u < p_mid + p_left)
-        right = ~(mid | left)
-        x1[mid] = rng.random(mid.sum()) * self.gamma
-        x1[left] = -np.abs(c[left])
-        x1[right] = self.gamma + np.abs(c[right])
-        out = proj
-        out[:, 0] += x1
-        return self._unrotate(out)
-
-    def bounding_box(self):
-        lo, hi = self.base.bounding_box()
-        hi = hi.copy()
-        hi[0] += self.gamma
-        if self.rotation is None:
-            return lo, hi
-        # rotate the box back conservatively: use the enclosing ball
-        center = self._unrotate(((lo + hi) / 2).reshape(1, -1))[0]
-        radius = 0.5 * float(np.linalg.norm(hi - lo))
-        return center - radius, center + radius
-
-
-def _householder_to_e1(v: np.ndarray) -> np.ndarray | None:
-    """Orthogonal symmetric R with R @ v = ||v|| e1; None (no rotation) when
-    v already points along +e1."""
-    n = v.size
-    u = v / np.linalg.norm(v) - np.eye(n)[0]
-    nu = np.linalg.norm(u)
-    if nu < 1e-14:
-        return None
-    u = u / nu
-    return np.eye(n) - 2.0 * np.outer(u, u)
-
-
-class ProductBridge(Density):
-    """Bridge from a log-concave product density to its translate along e1.
-
-    Factors must be 1-D with their mode at 0; the bridge is log-concave when
-    they all are.  The first coordinate's density is frozen at its modal
-    value across the gap ``(0, gamma)``; the normalizer is
-    ``Z = 1 + gamma * phi1(0)``.
+    The bridge is log-concave when the factors are, with their modes at 0.
+    The first coordinate's density is frozen at its value at 0 across the
+    gap ``(0, gamma)``; the normalizer is ``Z = 1 + gamma * phi1(0)``.
     """
 
     def __init__(self, factors, gamma: float):
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        self.base = Product(factors)
-        self.factors = self.base.factors
-        self.dim = self.base.dim
-        self.log_concave = self.base.log_concave
-        self._rest = Product(self.factors[1:])
-        self.gamma = float(gamma)
-        self._phi1_0 = self.factors[0].pdf(0.0)
-        if self._phi1_0 <= 0:
-            raise ValueError("first factor must have positive density at its mode 0")
-        self.z_const = 1.0 + self.gamma * self._phi1_0
+        base = Product(factors)
+        self.factors = base.factors
+        self.log_concave = base.log_concave
+        e1 = np.eye(base.dim)[0]
+        super().__init__(base, gamma, e1, e1, self.factors[0].pdf(0.0))
         self.label = f"product-bridge(gamma={self.gamma:.4g}, dim={self.dim})"
-
-    def _pdf(self, pts):
-        x1, f1 = pts[:, :1], self.factors[0]
-        first = np.where(x1[:, 0] < 0, f1._pdf(x1),
-                         np.where(x1[:, 0] > self.gamma, f1._pdf(x1 - self.gamma), self._phi1_0))
-        return first * self._rest._pdf(pts[:, 1:]) / self.z_const
-
-    def sample(self, n, seed, path=()):
-        rng = make_rng(seed, *path)
-        p_left = _mass_below0(self.factors[0]) / self.z_const
-        p_mid = self.gamma * self._phi1_0 / self.z_const
-        u = rng.random(n)
-        x1 = np.empty(n)
-        # sign-conditioned draws from factor 1 by rejection
-        need_left = int((u < p_left).sum())
-        need_right = int((u >= p_left + p_mid).sum())
-        lefts, rights = [np.empty(0)], [np.empty(0)]
-        n_left = n_right = attempt = 0
-        while n_left < need_left or n_right < need_right:
-            draws = self.factors[0].sample(max(256, 4 * n), seed,
-                                           (*path, Tag.ATTEMPT, attempt))[:, 0]
-            lefts.append(draws[draws <= 0])
-            rights.append(draws[draws > 0])
-            n_left += lefts[-1].size
-            n_right += rights[-1].size
-            attempt += 1
-            if attempt > 10_000:
-                raise RejectionBudgetError("factor-conditional sampling budget exhausted")
-        mask_left = u < p_left
-        mask_mid = (~mask_left) & (u < p_left + p_mid)
-        mask_right = ~(mask_left | mask_mid)
-        x1[mask_left] = np.concatenate(lefts)[:need_left]
-        x1[mask_mid] = rng.random(int(mask_mid.sum())) * self.gamma
-        x1[mask_right] = self.gamma + np.concatenate(rights)[:need_right]
-        return np.column_stack([x1] + [f.sample(n, seed, (*path, Tag.FACTOR, i))[:, 0]
-                                       for i, f in enumerate(self.factors[1:], start=1)])
-
-    def bounding_box(self):
-        lo, hi = self.base.bounding_box()
-        hi[0] += self.gamma
-        return lo, hi
-
-
-def _mass_below0(f: Density) -> float:
-    """Mass of a 1-D Gaussian, uniform box or interval-reducible truncated
-    Gaussian on (-inf, 0], in closed form."""
-    if isinstance(f, UniformBox):
-        return float(np.clip(-f.lo[0] / (f.hi[0] - f.lo[0]), 0.0, 1.0))
-    if isinstance(f, Gaussian):
-        base, intervals, total = f, ((-math.inf, math.inf),), 1.0
-    elif isinstance(f, TruncatedGaussian) and (intervals := intervals_of(f.trunc_set)):
-        base, total = f.base, f.mass
-    else:
-        raise ValueError(f"no closed-form mass below 0 for the factor {f.label}")
-    mu, sd = float(base.mean[0]), math.sqrt(float(base.cov[0, 0]))
-    return sum(normal_interval_mass((a - mu) / sd, (min(b, 0.0) - mu) / sd)
-               for a, b in intervals if a < 0.0) / total
 
 
 def bridge_1d(mu: float) -> Density:
@@ -573,13 +491,12 @@ def bridge_1d(mu: float) -> Density:
 
 
 def bridge_nd(mu) -> Density:
-    """Bridge between N(0,I) and N(mu,I); internally rotated so mu || e1
-    (a mu along +e1 is not rotated)."""
+    """Bridge between N(0,I) and N(mu,I): the shift runs along mu / |mu|."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     gamma = float(np.linalg.norm(mu))
     if gamma == 0:
         return Gaussian(np.zeros(mu.size), np.eye(mu.size))
-    return GaussianBridge(gamma, np.eye(mu.size), rotation=_householder_to_e1(mu),
+    return GaussianBridge(gamma, np.eye(mu.size), direction=mu / gamma,
                           label=f"bridgeNd(|mu|={gamma:.4g}, dim={mu.size})")
 
 

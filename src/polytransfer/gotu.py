@@ -205,7 +205,8 @@ def gradient_flow(net: DiagonalLinearNet, target: LinearTarget, k: int,
             if new_ls <= l_s + 1e-9 or step < 1e-12:
                 break
             step *= 0.5
-        if not (np.isfinite(new_w).all() and math.isfinite(new_b)):
+        # a finite L_S needs finite gaps, so finite products, factors and bias
+        if not math.isfinite(new_ls) and not (np.isfinite(new_w).all() and math.isfinite(new_b)):
             raise FloatingPointError("flow produced non-finite parameters")
         w, b, pi, delta = new_w, new_b, new_pi, new_delta
         t += step

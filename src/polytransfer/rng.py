@@ -13,9 +13,10 @@ import enum
 import operator
 import struct
 
-# path components naming the parts of a routine's draws, numbered from 1
+# path components naming the parts of a routine's draws, numbered from 1; a new
+# tag goes last, since renumbering one moves every stream it keys
 Tag = enum.IntEnum("Tag", "FACTOR ATTEMPT QUERY TASK STEP SOURCE TARGET LOCATION "
-                          "EPOCH NOISE INIT SEEN BAND FULL FINAL")
+                          "EPOCH NOISE INIT SEEN BAND FULL FINAL PLATEAU")
 
 
 def make_rng(seed: int, *path: int):

@@ -370,6 +370,61 @@ class TestFigureStreams:
         assert {r["model"] for r in rows} == {"poly20", "relu_net", "poly_net"}
 
 
+# f*, seen box and band box as `run_fig1` and `run_fig2` declare them
+FIGURES = {
+    "fig1": (lambda p: np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1]),
+             ((0.0, -1.0), (1.0, 1.0)), ((-1.0, -2.0), (2.0, 2.0))),
+    "fig2": (lambda p: (np.sin(2 * np.pi * p[:, 0]) * np.sin(2 * np.pi * p[:, 1])
+                        + p[:, 0] * p[:, 1]),
+             ((-0.5, -0.5), (0.5, 0.5)), ((-1.5, -1.5), (1.5, 1.5))),
+}
+
+
+def box_integral(g, lo, hi, nodes=120):
+    """Integral of g over the 2-D box [lo, hi] by the tensor Gauss-Legendre
+    rule, which is exact through degree 239 per axis, and the box's area."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = (hi - lo) / 2
+    xx, yy = np.meshgrid(*(lo[j] + half[j] * (t + 1) for j in range(2)), indexing="ij")
+    values = g(np.column_stack([xx.ravel(), yy.ravel()]))
+    return float(np.outer(w, w).ravel() @ values) * half.prod(), 4 * half.prod()
+
+
+class TestFigureMseOracle:
+    """The poly20 cells of mse.csv against the region means of (p - f*)^2 by
+    quadrature: the seen and full regions are boxes, the band is the outer
+    box minus the seen box."""
+
+    @pytest.mark.parametrize("experiment", sorted(FIGURES))
+    def test_poly20_cells_match_quadrature(self, tmp_path, experiment):
+        from polytransfer import dist
+
+        f_star, seen, band = FIGURES[experiment]
+        out = tmp_path / "run"
+        run_config(tmp_path, f"experiment = {experiment}\nout = {out}\n"
+                             f"{experiment}.epochs = 0\n{experiment}.resolution = 4\n"
+                             + ("fig2.poly_epochs = 0\n" if experiment == "fig2" else ""))
+        with open(out / "mse.csv") as fh:
+            cells = {r["region"]: (float(r["mse"]), float(r["se"]))
+                     for r in csv.DictReader(fh) if r["model"] == "poly20"}
+
+        # the fit as the run makes it, at the default settings
+        cfg = cli.resolve_config({"experiment": experiment})
+        X = dist.UniformBox(*seen).sample(cfg[f"{experiment}.n_samples"], cfg["seed"])
+        fit = cli.fit_extrapolating_poly(X, f_star(X), cfg[f"{experiment}.degree"], *seen, *band,
+                                         ridge=cfg[f"{experiment}.ridge"],
+                                         band_penalty=cfg[f"{experiment}.band_penalty"])
+        sq = lambda pts: (fit.poly.eval(pts) - f_star(pts)) ** 2
+        (s_int, s_area), (b_int, b_area) = box_integral(sq, *seen), box_integral(sq, *band)
+        full_int, full_area = box_integral(sq, (-5.0, -5.0), (5.0, 5.0))
+        exact = {"seen": s_int / s_area, "band": (b_int - s_int) / (b_area - s_area),
+                 "full": full_int / full_area}
+        assert set(cells) == set(exact)
+        for region, (mse, se) in cells.items():
+            assert abs(mse - exact[region]) < 4.0 * se, (region, mse, se, exact[region])
+
+
 EXPERIMENT_MODULES = {f"polytransfer.{m}" for m in (
     "boolean", "dist", "gotu", "heatmap", "icl", "nets", "poly", "transfer", "trunc")}
 
@@ -572,7 +627,7 @@ class TestStreamAudit:
         cfg.write_text(f"experiment = fig2\nout = {tmp_path / 'run'}\n" + SMALL_RUNS["fig2"])
         figure = lambda: cli.main(["run", str(cfg)])
         for action, keys, caller in [
-                (check, {(3, ())}, ("transfer", "verify_transfer")),
+                (check, {(3, ()), (3, (Tag.PLATEAU,))}, ("transfer", "verify_transfer")),
                 (figure, {(0, (Tag.EPOCH, 0)), (0, (Tag.EPOCH, 1))}, ("cli", "run_figure"))]:
             assert not audit_streams(monkeypatch, action)
             undeclared = audit_streams(monkeypatch, action, shared=set())

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.stats import kstest, norm, truncnorm
 
 from polytransfer import dist, trunc
@@ -18,6 +18,15 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 
 def quad_mass(d, lo, hi):
     return quad(lambda t: float(np.asarray(d.pdf(t))), lo, hi, limit=300)[0]
+
+
+def grid_cdf(pdf, lo, hi, points=200_001):
+    """CDF of a 1-D density on [lo, hi] by the trapezoid rule on a fine grid
+    (a jump in the density costs about 1e-4 of its height here)."""
+    xs = np.linspace(lo, hi, points)
+    cdf = cumulative_trapezoid(pdf(xs), xs, initial=0.0)
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-4)
+    return lambda x: np.interp(x, xs, cdf)
 
 
 class TestPdf:
@@ -262,23 +271,6 @@ class TestSampling:
         assert np.all(s.contains(draws))
         assert np.concatenate(list(tg.blocks(n, seed, path, size))).tobytes() == draws.tobytes()
 
-    @pytest.mark.parametrize("factor,lo,points", [
-        (dist.Gaussian([0.3], [[2.0]]), -math.inf, None),
-        (dist.Gaussian([-1.2], [[0.5]]), -math.inf, None),
-        (dist.UniformBox([-1.0], [3.0]), -1.0, None),
-        (dist.TruncatedGaussian([0.2], [[1.5]], dist.IntervalUnion(((-2.0, -0.5), (0.1, 3.0)))),
-         -2.0, [-0.5]),
-        (dist.TruncatedGaussian([0.5], [[1.0]], dist.Halfspace((1.0,), 2.0)), -math.inf, None),
-    ])
-    def test_bridge_mass_below0_matches_quadrature(self, factor, lo, points):
-        ref = quad(lambda t: float(np.asarray(factor.pdf(t))), lo, 0.0, points=points,
-                   epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-        assert dist._mass_below0(factor) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-    def test_bridge_mass_below0_needs_a_closed_form(self):
-        with pytest.raises(ValueError):
-            dist._mass_below0(dist.bridge_1d(1.0))
-
     def test_bridge_sampler_matches_quadrature_mean(self):
         b = dist.bridge_1d(2.0)
         s = b.sample(200_000, 4)[:, 0]
@@ -293,6 +285,35 @@ class TestSampling:
         m0 = dblquad(lambda y, x: x * float(np.asarray(b.pdf([x, y]))),
                      -12, 12, -12, 13.5, epsabs=1e-8)[0]
         assert s[:, 0].mean() == pytest.approx(m0, abs=0.02)
+
+    @pytest.mark.parametrize("f1, f2", [
+        # a first factor with no closed-form mass below 0
+        (dist.bridge_1d(1.0), dist.Gaussian([0.0], [[1.0]])),
+        (dist.Gaussian([0.0], [[1.0]]), dist.UniformBox([-1.0], [2.0])),
+        (dist.UniformBox([-1.0], [2.0]), dist.Gaussian([0.0], [[1.0]])),
+        (dist.TruncatedGaussian([0.0], [[1.0]], dist.IntervalUnion(((-0.01, 4.0),))),
+         dist.Gaussian([0.0], [[1.0]])),
+    ], ids=["bridge-normal", "normal-uniform", "uniform-normal", "truncated-normal"])
+    def test_product_bridge_marginals_match_quadrature(self, f1, f2):
+        gamma = 1.5
+        pb = dist.ProductBridge([f1, f2], gamma)
+        s = pb.sample(20_000, 8)
+        lo, hi = pb.bounding_box()
+        # the envelope: f1 held at f1(0) across the gap (0, gamma)
+        envelope = grid_cdf(lambda x: f1.pdf(x - np.clip(x, 0.0, gamma)) / pb.z_const,
+                            lo[0] - 1.0, hi[0] + 1.0)
+        assert kstest(s[:, 0], envelope).pvalue > 0.01
+        assert kstest(s[:, 1], grid_cdf(f2.pdf, lo[1] - 1.0, hi[1] + 1.0)).pvalue > 0.01
+
+    def test_nd_bridge_projects_to_the_1d_bridge(self):
+        mu = np.array([1.0, 2.0, -0.5])
+        gamma = float(np.linalg.norm(mu))
+        v = mu / gamma
+        w = np.cross(v, [0.0, 0.0, 1.0])
+        s = dist.bridge_nd(mu).sample(20_000, 9)
+        along = grid_cdf(dist.bridge_1d(gamma).pdf, -9.0, gamma + 9.0)
+        assert kstest(s @ v, along).pvalue > 0.01
+        assert kstest(s @ (w / np.linalg.norm(w)), norm.cdf).pvalue > 0.01
 
 
 SPD3 = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.5]])
@@ -413,9 +434,9 @@ class TestPdfContract:
             assert b1.label == bn.label
             assert getattr(b1, "z_const", 1.0) == getattr(bn, "z_const", 1.0)
             assert b1.pdf(xs).tobytes() == bn.pdf(xs).tobytes()
-        assert dist.bridge_1d(2.0).rotation is None
-        assert dist.bridge_nd([2.0, 0.0]).rotation is None
-        assert dist.bridge_1d(-2.0).rotation.tolist() == [[-1.0]]
+        assert dist.bridge_1d(2.0).direction.tolist() == [1.0]
+        assert dist.bridge_nd([2.0, 0.0]).direction.tolist() == [1.0, 0.0]
+        assert dist.bridge_1d(-2.0).direction.tolist() == [-1.0]
 
 
 class TestRatioSup:

@@ -42,6 +42,14 @@ def test_distinct_paths_give_distinct_first_draws(seed, paths):
     assert len(set(firsts)) == len(paths)
 
 
+def test_tags_keep_their_numbers():
+    # a renumbered tag would silently move every stream it keys: new tags go last
+    assert [(t.name, t.value) for t in Tag] == [
+        ("FACTOR", 1), ("ATTEMPT", 2), ("QUERY", 3), ("TASK", 4), ("STEP", 5), ("SOURCE", 6),
+        ("TARGET", 7), ("LOCATION", 8), ("EPOCH", 9), ("NOISE", 10), ("INIT", 11),
+        ("SEEN", 12), ("BAND", 13), ("FULL", 14), ("FINAL", 15), ("PLATEAU", 16)]
+
+
 def test_word_boundary_components():
     top = 2 ** 64 - 1
     cases = [(s, p) for s in (0, top) for p in ((), (0,), (top,), (top, 0), (0, top))]
