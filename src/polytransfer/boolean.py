@@ -21,7 +21,6 @@ failure).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,54 +330,3 @@ def transfer_report(f: BooleanFn, seen: SeenSet, c_gap: float = 1.0,
         condition_holds=holds, lhs=e_q2, source_moment=e_p2,
         coefficient=coefficient, satisfied=satisfied,
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def save_fourier(f: BooleanFn, path) -> None:
-    """Sparse text format: '# n=..' header then 'bitmask coefficient' lines."""
-    sparse = f.fourier
-    with open(path, "w") as fh:
-        fh.write(f"# n={f.n}\n")
-        for mask in sorted(sparse):
-            fh.write(f"{mask} {sparse[mask]!r}\n")
-
-
-def load_fourier(path) -> BooleanFn:
-    n = None
-    coeffs = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n="):
-                    n = int(body[2:])
-                continue
-            mask, value = line.split()
-            coeffs[int(mask)] = float(value)
-    if n is None:
-        raise ValueError(f"{path} is missing the '# n=' header")
-    return BooleanFn.from_fourier(n, coeffs)
-
-
-def save_table(f: BooleanFn, path) -> None:
-    """Dense binary format: 8-byte little-endian n, then 2^n little-endian f64."""
-    g = f if f.table is not None else fourier_transform(f)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", g.n))
-        fh.write(g.table.astype("<f8").tobytes())
-
-
-def load_table(path) -> BooleanFn:
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != (1 << n):
-        raise ValueError("table payload does not match header n")
-    return BooleanFn(int(n), table=data.astype(float))

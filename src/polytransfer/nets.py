@@ -9,7 +9,6 @@ cubic polynomial sigma(x) = 3x^2 - 2x^3.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == RELU:
-        return (z > 0).astype(float)
+        return z > 0   # a 0/1 mask: multiplying by it is multiplying by 0.0 or 1.0
     return 6.0 * z * (1.0 - z)
 
 
@@ -92,31 +91,34 @@ def forward(m: MLP, X) -> np.ndarray:
     return out
 
 
-def backprop(m: MLP, X, y):
-    """Mean-squared-error loss and its gradients for a batch."""
+def backprop(m: MLP, X, y, out=None):
+    """Mean-squared-error loss and its gradients for a batch.
+
+    The gradients are written into ``out = (grads_w, grads_b)``, arrays of
+    the layers' shapes, when it is given, and into new arrays otherwise.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     acts = [X]
     zs = []
-    a = X
     last = len(m.weights) - 1
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        z = a @ w + b
+        z = acts[i] @ w
+        z += b
         zs.append(z)
-        a = z if i == last else _act(z, m.activation)
-        acts.append(a)
-    pred = acts[-1][:, 0]
-    resid = pred - y
-    loss = float(np.mean(resid ** 2))
+        acts.append(z if i == last else _act(z, m.activation))
+    resid = acts[-1][:, 0] - y
     batch = X.shape[0]
+    loss = float(np.add.reduce(resid ** 2) / batch)   # the bits of np.mean
     delta = (2.0 * resid / batch).reshape(-1, 1)
-    grads_w = [None] * len(m.weights)
-    grads_b = [None] * len(m.biases)
+    grads_w, grads_b = out if out is not None else (
+        [np.empty_like(w) for w in m.weights], [np.empty_like(b) for b in m.biases])
     for i in range(last, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ m.weights[i].T) * _act_grad(zs[i - 1], m.activation)
+            delta = delta @ m.weights[i].T
+            delta *= _act_grad(zs[i - 1], m.activation)
     return loss, grads_w, grads_b
 
 
@@ -133,72 +135,34 @@ def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
-    # the returned model's weights and biases are views into one flat
-    # vector laid out as the gradient concatenation, so one update covers
-    # every layer
+    # the returned model's parameters and backprop's gradients are views into
+    # two flat vectors of one layout, so one update covers every layer
     params = m.weights + m.biases
+    splits = np.cumsum([p.size for p in params])[:-1]
     theta = np.concatenate([p.ravel() for p in params])
-    views = [v.reshape(p.shape) for v, p in
-             zip(np.split(theta, np.cumsum([p.size for p in params])[:-1]), params)]
-    m = MLP(m.sizes, m.activation, views[:len(m.weights)], views[len(m.weights):])
+    grad, den = np.empty_like(theta), np.empty_like(theta)
     acc = np.zeros_like(theta)
+    k = len(m.weights)
+    tv, gv = ([v.reshape(p.shape) for v, p in zip(np.split(flat, splits), params)]
+              for flat in (theta, grad))
+    m = MLP(m.sizes, m.activation, tv[:k], tv[k:])
+    grads = (gv[:k], gv[k:])
     trace = []
     n = X.shape[0]
     for epoch in range(epochs):
         order = make_rng(seed, Tag.EPOCH, epoch).permutation(n)
+        Xo, yo = X[order], y[order]
         epoch_losses = []
         for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss, gw, gb = backprop(m, X[idx], y[idx])
+            rows = slice(start, start + batch_size)
+            loss = backprop(m, Xo[rows], yo[rows], out=grads)[0]
             if not math.isfinite(loss) or loss > divergence:
                 raise DivergenceError(f"loss {loss} at epoch {epoch}", m)
             epoch_losses.append(loss)
-            g = np.concatenate([d.ravel() for d in gw + gb])
-            acc += g ** 2
-            theta -= rate * g / np.sqrt(acc + eps)
+            # theta -= rate * g / sqrt(acc + eps), with acc += g ** 2 first
+            acc += np.multiply(grad, grad, out=den)
+            np.sqrt(np.add(acc, eps, out=den), out=den)
+            np.multiply(grad, rate, out=grad)
+            theta -= np.divide(grad, den, out=grad)
         trace.append(float(np.mean(epoch_losses)))
     return m, trace
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: text header (sizes, activation) + flat little-endian params
-# ---------------------------------------------------------------------------
-
-
-def save_mlp(m: MLP, path) -> None:
-    header = "mlp " + " ".join(str(s) for s in m.sizes) + f" {m.activation}\n"
-    flat = np.concatenate([w.ravel() for w in m.weights]
-                          + [b.ravel() for b in m.biases]).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(struct.pack("<Q", flat.size))
-        fh.write(flat.tobytes())
-
-
-def load_mlp(path) -> MLP:
-    with open(path, "rb") as fh:
-        header = b""
-        while not header.endswith(b"\n"):
-            ch = fh.read(1)
-            if not ch:
-                raise ValueError("truncated checkpoint header")
-            header += ch
-        parts = header.decode().split()
-        if parts[0] != "mlp":
-            raise ValueError("not an mlp checkpoint")
-        sizes = tuple(int(p) for p in parts[1:-1])
-        activation = parts[-1]
-        (count,) = struct.unpack("<Q", fh.read(8))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    if flat.size != count:
-        raise ValueError("checkpoint payload size mismatch")
-    m = MLP(sizes, activation)
-    offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        m.weights.append(flat[offset:offset + fan_in * fan_out]
-                         .reshape(fan_in, fan_out).copy())
-        offset += fan_in * fan_out
-    for fan_out in sizes[1:]:
-        m.biases.append(flat[offset:offset + fan_out].copy())
-        offset += fan_out
-    return m

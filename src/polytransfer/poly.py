@@ -4,25 +4,20 @@ Supports two bases: raw monomials, and tensor products of Legendre
 polynomials rescaled and normalized to be orthonormal under the uniform
 measure on a declared box ("box basis").  High-degree fits should use the
 box basis; raw monomials above degree ~10 are numerically unusable on wide
-boxes.  Multi-indices are kept in graded lexicographic order throughout,
-including in the text serialization.
+boxes.  Multi-indices are kept in graded lexicographic order throughout.
 
 One kernel, ``_tensor_columns``, forms every product over axes of per-axis
-tables (design matrices, evaluation, region Grams).  Basis conversion runs in
-exact rational arithmetic and rounds to float64 only at the end, so a round
-trip loses little more than storing the intermediate coefficients loses.
-``MultiPoly.eval`` runs it on fixed-size row blocks, filled into one buffer
-per call, and sums each row on its own: memory stays bounded and a point's
-value does not depend on its batch.  A regularized ``fit_regression`` sums
+tables (design matrices, evaluation, region Grams).  ``MultiPoly.eval`` runs
+it on fixed-size row blocks, filled into one buffer per call, and sums each
+row on its own: memory stays bounded and a point's value does not depend on
+its batch.  A regularized ``fit_regression`` sums
 its normal equations over the same blocks, so it never holds the whole
 design matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 import numpy as np
@@ -51,32 +46,6 @@ def multi_indices(dim: int, degree: int):
            if sum(alpha) <= degree]
     out.sort(key=grlex_key)
     return out
-
-
-def _legendre_power_tables(degree: int, a: float, b: float):
-    """Exact rational tables (R, Q) between the powers of x and the Legendre
-    polynomials P_k(t), t = (2x - a - b)/(b - a), of one box axis:
-    P_k(t) = sum_j R[k][j] x^j and x^j = sum_k Q[j][k] P_k(t).
-
-    Both are lower triangular, built from the exact binary values of a and b
-    by Bonnet's recursion, in the power basis for R and in the Legendre basis
-    for Q.  The normalization sqrt(2k+1) of the box basis is left out, so the
-    tables stay rational.
-    """
-    a, b = Fraction(a), Fraction(b)
-    shift, scale = -(a + b) / (b - a), 2 / (b - a)  # t = shift + scale * x
-    mid, half = (a + b) / 2, (b - a) / 2  # x = mid + half * t
-    R, Q = [[Fraction(1)]], [[Fraction(1)]]
-    for k in range(degree):
-        # (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}
-        p, prev = R[k] + [0], (R[k - 1] if k else []) + [0, 0]
-        R.append([((2 * k + 1) * (shift * p[j] + (scale * p[j - 1] if j else 0))
-                   - k * prev[j]) / (k + 1) for j in range(k + 2)])
-        # x^{k+1} = mid x^k + half t x^k, t P_l = ((l+1) P_{l+1} + l P_{l-1})/(2l+1)
-        q = [0] + Q[k] + [0, 0]  # q[l + 1] = coefficient of P_l in x^k
-        Q.append([mid * q[l + 1] + half * (l * q[l] / (2 * l - 1) if l else 0)
-                  + half * (l + 1) * q[l + 2] / (2 * l + 3) for l in range(k + 2)])
-    return R, Q
 
 
 def _legendre_values(points: np.ndarray, degree: int, a: float, b: float) -> np.ndarray:
@@ -197,46 +166,6 @@ class MultiPoly:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    # -- basis conversion ---------------------------------------------------
-
-    def to_monomial(self) -> "MultiPoly":
-        if self.basis == MONOMIAL:
-            return self
-        lo, hi = self.box
-        tables = [_legendre_power_tables(self.degree, lo[i], hi[i])[0] for i in range(self.dim)]
-        return self._convert(tables, MONOMIAL, None)
-
-    def to_box(self, box) -> "MultiPoly":
-        lo, hi = _as_box(box)
-        if self.basis == BOX:
-            same = np.array_equal(self.box[0], lo) and np.array_equal(self.box[1], hi)
-            return self if same else self.to_monomial().to_box((lo, hi))
-        tables = [_legendre_power_tables(self.degree, lo[i], hi[i])[1] for i in range(self.dim)]
-        return self._convert(tables, BOX, (lo, hi))
-
-    def _convert(self, tables, basis, box):
-        """Exact change of basis, rounded to float64 at the end: input term a
-        expands into sum_b prod_i tables[i][a_i][b_i] over b <= a, where the box
-        side is the unnormalized Legendre product phi_a / _box_norm(a)."""
-        acc = {}
-        for a, c in self.coeffs.items():
-            v = Fraction(c * _box_norm(a) if self.basis == BOX else c)
-            rows = [t[e] for t, e in zip(tables, a)]
-            for b in iter_product(*(range(e + 1) for e in a)):
-                term = v
-                for row, j in zip(rows, b):
-                    term *= row[j]
-                acc[b] = acc.get(b, 0) + term
-        new = {b: float(acc[b]) / (_box_norm(b) if basis == BOX else 1.0)
-               for b in sorted(acc, key=grlex_key)}
-        return MultiPoly(self.dim, self.degree, basis,
-                         {b: v for b, v in new.items() if v != 0.0}, box)
-
-
-def _box_norm(alpha) -> float:
-    """prod_i sqrt(2 alpha_i + 1): the factor from P_alpha to the orthonormal phi_alpha."""
-    return math.sqrt(math.prod(2 * e + 1 for e in alpha))
 
 
 def zero_poly(dim: int, basis: str = MONOMIAL, box=None) -> MultiPoly:
@@ -423,50 +352,3 @@ def restricted_degree(g, dim: int, max_deg: int, lines: int = 20, seed: int = 0)
         d /= np.linalg.norm(d)
         best = max(best, line_degree(g, x0, d, max_deg))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Serialization: one line per term, "e1 e2 ... en coefficient", graded-lex
-# ---------------------------------------------------------------------------
-
-
-def save_poly(p: MultiPoly, path) -> None:
-    lines = [f"# basis={p.basis}"]
-    if p.basis == BOX:
-        lo, hi = p.box
-        lines.append("# box_lo=" + " ".join(repr(float(v)) for v in lo))
-        lines.append("# box_hi=" + " ".join(repr(float(v)) for v in hi))
-    for alpha in sorted(p.coeffs, key=grlex_key):
-        c = p.coeffs[alpha]
-        lines.append(" ".join(str(e) for e in alpha) + " " + repr(c))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_poly(path) -> MultiPoly:
-    basis = MONOMIAL
-    box_lo = box_hi = None
-    coeffs = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("basis="):
-                    basis = body[len("basis="):]
-                elif body.startswith("box_lo="):
-                    box_lo = np.array([float(v) for v in body[len("box_lo="):].split()])
-                elif body.startswith("box_hi="):
-                    box_hi = np.array([float(v) for v in body[len("box_hi="):].split()])
-                continue
-            parts = line.split()
-            alpha = tuple(int(e) for e in parts[:-1])
-            coeffs[alpha] = float(parts[-1])
-    if not coeffs:
-        raise ValueError(f"no terms in {path}")
-    dim = len(next(iter(coeffs)))
-    degree = max(sum(a) for a in coeffs)
-    box = (box_lo, box_hi) if basis == BOX else None
-    return MultiPoly(dim, degree, basis, coeffs, box)

@@ -21,7 +21,6 @@ Monte Carlo noise; general sets fall back to Monte Carlo.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -163,34 +162,6 @@ class TruncatedTransferResult:
     @property
     def both_satisfied(self) -> bool:
         return self.forward.satisfied and self.reverse.satisfied
-
-
-def save_instance(inst: TruncatedRegressionInstance, path) -> None:
-    """Covariate CSV with a one-line truncation-set descriptor up top."""
-    intervals = dist.intervals_of(inst.trunc_set)
-    if intervals is None:
-        raise ValueError("only interval-reducible sets serialize")
-    desc = " ".join(f"{a!r}:{b!r}" for a, b in intervals)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# intervals {desc}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(inst.covariates.shape[1])])
-        for row in inst.covariates:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_instance(path, f_star) -> TruncatedRegressionInstance:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# intervals "):
-            raise ValueError("missing truncation-set descriptor line")
-        pairs = []
-        for token in header[len("# intervals "):].split():
-            a, b = token.split(":")
-            pairs.append((float(a), float(b)))
-        rows = list(csv.reader(fh))
-    X = np.array([[float(v) for v in row] for row in rows[1:]])
-    return TruncatedRegressionInstance(X, f_star, dist.IntervalUnion(tuple(pairs)))
 
 
 def truncated_transfer_check(model, inst: TruncatedRegressionInstance,

@@ -339,33 +339,6 @@ class TestTransferReport:
         assert boolean.default_degree_constant(3) == 3.0 ** 6
 
 
-class TestSerialization:
-    def test_fourier_text_round_trip(self, tmp_path):
-        f = boolean.BooleanFn.from_fourier(5, {0: 0.5, 3: -1.25, 17: 1e-3})
-        path = tmp_path / "f.fourier"
-        boolean.save_fourier(f, path)
-        g = boolean.load_fourier(path)
-        assert g.n == 5
-        assert g.fourier == pytest.approx(f.fourier)
-
-    def test_table_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        f = random_fn(6, rng)
-        path = tmp_path / "f.table"
-        boolean.save_table(f, path)
-        g = boolean.load_table(path)
-        assert g.n == 6
-        np.testing.assert_array_equal(g.table, f.table)
-
-    def test_table_header_is_8_bytes_little_endian(self, tmp_path):
-        f = boolean.BooleanFn.from_table(np.arange(4, dtype=float))
-        path = tmp_path / "f.table"
-        boolean.save_table(f, path)
-        raw = path.read_bytes()
-        assert raw[:8] == (2).to_bytes(8, "little")
-        assert len(raw) == 8 + 4 * 8
-
-
 @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_parseval_property(n, seed):

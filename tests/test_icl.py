@@ -169,6 +169,31 @@ class TestPopulationLossOracle:
         assert abs(est.value - exact) <= 4 * est.stderr, (est, exact)
 
 
+class TestStderrCalibration:
+    SEEDS = 40
+
+    @pytest.mark.parametrize("params_seed", [0, 1])
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_errors_within_one_and_two_se_at_normal_rates(self, params_seed, mu):
+        # |MC - exact| <= k se should hold at the normal rates 68.3% (k = 1) and
+        # 95.4% (k = 2); the counts over the seeds must fall in the binomial
+        # 99.9% range, which a standard error off by a factor of 2 leaves
+        from scipy.stats import binom
+
+        length = 20
+        params = icl.LSAParams.random(1, 20.0, params_seed, scale=0.5)
+        g = dist.Gaussian([0.0], [[1.0]])
+        pd = icl.PromptDistribution(g, g, dist.Gaussian([mu], [[1.0]]), length)
+        exact = exact_loss_n1(params, length, mu)
+        z = np.empty(self.SEEDS)
+        for s in range(self.SEEDS):
+            est = icl.population_loss(pd, params, McSpec(20_000, s))
+            z[s] = abs(est.value - exact) / est.stderr
+        for k, rate in ((1, 0.6827), (2, 0.9545)):
+            lo, hi = binom.interval(0.999, self.SEEDS, rate)
+            assert lo <= np.count_nonzero(z <= k) <= hi, (k, np.sort(z))
+
+
 def whole_batch_loss(pd, params, mc):
     """Reference: the loss of ``population_loss``'s prompts evaluated as one batch."""
     X, xq, W = icl._sample_batch(pd, mc.n_samples, mc.seed, mc.path)

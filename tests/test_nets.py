@@ -155,9 +155,37 @@ class TestAdagrad:
             nets.train_adagrad(m, np.zeros((0, 2)), np.zeros(0), 1, 0.1)
 
 
+def reference_backprop(m, X, y):
+    """The allocating backprop that the buffer-filling one replaced, kept as
+    the bit-for-bit oracle: a fresh array per gradient and per mask."""
+    acts = [X]
+    zs = []
+    a = X
+    last = len(m.weights) - 1
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+        z = a @ w + b
+        zs.append(z)
+        a = z if i == last else nets._act(z, m.activation)
+        acts.append(a)
+    resid = acts[-1][:, 0] - y
+    loss = float(np.mean(resid ** 2))
+    delta = (2.0 * resid / X.shape[0]).reshape(-1, 1)
+    grads_w = [None] * len(m.weights)
+    grads_b = [None] * len(m.biases)
+    for i in range(last, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            z = zs[i - 1]
+            mask = (z > 0).astype(float) if m.activation == nets.RELU else 6.0 * z * (1.0 - z)
+            delta = (delta @ m.weights[i].T) * mask
+    return loss, grads_w, grads_b
+
+
 def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64,
                       eps=nets.ADAGRAD_EPS, divergence=1e8):
-    """The per-layer AdaGrad loop that the flat-buffer update replaced."""
+    """The per-layer AdaGrad loop on gathered batches and the allocating
+    backprop, which the flat-buffer update replaced."""
     m = m.copy()
     acc_w = [np.zeros_like(w) for w in m.weights]
     acc_b = [np.zeros_like(b) for b in m.biases]
@@ -168,7 +196,7 @@ def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64,
         epoch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss, gw, gb = nets.backprop(m, X[idx], y[idx])
+            loss, gw, gb = reference_backprop(m, X[idx], y[idx])
             if not math.isfinite(loss) or loss > divergence:
                 raise nets.DivergenceError(f"loss {loss} at epoch {epoch}", m)
             epoch_losses.append(loss)
@@ -195,6 +223,23 @@ def outcome(train, *args, **kwargs):
         return e.model, str(e)
 
 
+class TestBackpropBuffers:
+    @pytest.mark.parametrize("activation", [nets.RELU, nets.POLY])
+    def test_bits_match_reference_with_and_without_out(self, activation):
+        rng = np.random.default_rng(14)
+        m = nets.mlp_init(nets.DEFAULT_SIZES, activation, seed=15,
+                          init_scale=0.5 if activation == nets.POLY else 1.0)
+        X, y = rng.uniform(-1, 1, size=(37, 2)), rng.normal(size=37)
+        ref = reference_backprop(m, X, y)
+        out = ([np.full_like(w, np.nan) for w in m.weights],
+               [np.full_like(b, np.nan) for b in m.biases])
+        for got in (nets.backprop(m, X, y), nets.backprop(m, X, y, out=out)):
+            assert got[0] == ref[0]
+            for g, r in zip(got[1] + got[2], ref[1] + ref[2]):
+                assert g.shape == r.shape and g.tobytes() == r.tobytes()
+        assert all(g is o for g, o in zip(got[1] + got[2], out[0] + out[1]))
+
+
 class TestFlatAdagrad:
     @staticmethod
     def data():
@@ -207,6 +252,7 @@ class TestFlatAdagrad:
         # at these seeds the cubic net diverges in epoch 1; both loops must
         # then stop at the same batch with the same weights
         X, y = self.data()
+        assert len(X) % 64 != 0   # each epoch ends on a partial batch
         m = nets.mlp_init(nets.DEFAULT_SIZES, activation, seed=12, init_scale=scale)
         before = m.copy()
         got, got_trace = outcome(nets.train_adagrad, m, X, y, epochs=4, rate=0.02, seed=13)
@@ -224,22 +270,3 @@ class TestFlatAdagrad:
             adagrad_per_layer(m, X, y, epochs=20, rate=1.0, seed=13, divergence=1e3)
         assert str(got.value) == str(ref.value)
         assert same_params(got.value.model, ref.value.model)   # the failing batch's weights
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        m = nets.mlp_init((2, 5, 3, 1), nets.POLY, seed=11)
-        path = tmp_path / "model.bin"
-        nets.save_mlp(m, path)
-        loaded = nets.load_mlp(path)
-        assert loaded.sizes == m.sizes
-        assert loaded.activation == nets.POLY
-        x = np.random.default_rng(12).normal(size=(10, 2))
-        np.testing.assert_array_equal(nets.forward(loaded, x), nets.forward(m, x))
-
-    def test_header_is_text(self, tmp_path):
-        m = nets.mlp_init((2, 3, 1), nets.RELU, seed=0)
-        path = tmp_path / "model.bin"
-        nets.save_mlp(m, path)
-        first_line = path.read_bytes().split(b"\n", 1)[0]
-        assert first_line == b"mlp 2 3 1 relu"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from numpy.polynomial.legendre import leggauss
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss, legval
 
 from polytransfer import dist, poly
 from polytransfer.mc import McSpec, mean_and_stderr
@@ -132,6 +132,37 @@ class TestEval:
         p = poly.MultiPoly(2, 1, poly.MONOMIAL, {(1, 0): 1.0})
         assert p.eval(np.empty((0, 2))).shape == (0,)
 
+    @given(dim=st.integers(1, 3), degree=st.integers(1, 8),
+           lo=st.lists(st.floats(-2.0, 1.0), min_size=3, max_size=3),
+           width=st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_box_eval_agrees_with_legval_oracle(self, dim, degree, lo, width, seed):
+        # phi_alpha(x) = prod_i sqrt(2 a_i + 1) P_{a_i}(t_i), t = (2x - a - b)/(b - a)
+        rng = np.random.default_rng(seed)
+        a = np.array(lo[:dim])
+        b = a + np.array(width[:dim])
+        alphas = poly.multi_indices(dim, degree)
+        p = poly.MultiPoly(dim, degree, poly.BOX,
+                           dict(zip(alphas, rng.standard_normal(len(alphas)))), (a, b))
+        pts = rng.uniform(a, b, size=(50, dim))
+        t = (2.0 * pts - a - b) / (b - a)
+        ref, scale = np.zeros(len(pts)), np.zeros(len(pts))
+        for alpha, c in p.coeffs.items():
+            term = np.full(len(pts), c)
+            for i, e in enumerate(alpha):
+                term *= legval(t[:, i], np.eye(e + 1)[e]) * np.sqrt(2 * e + 1)
+            ref += term
+            scale += np.abs(term)
+        assert np.all(np.abs(p.eval(pts) - ref) <= 1e-13 * scale)
+
+    def test_subtraction(self):
+        p = poly.MultiPoly(1, 2, poly.MONOMIAL, {(2,): 1.0, (0,): 1.0})
+        q = poly.MultiPoly(1, 1, poly.MONOMIAL, {(1,): 2.0, (0,): 1.0})
+        r = p - q
+        xs = np.linspace(-2, 2, 9).reshape(-1, 1)
+        np.testing.assert_allclose(r.eval(xs), p.eval(xs) - q.eval(xs), atol=1e-12)
+
 
 class TestTensorKernel:
     @pytest.mark.parametrize("basis", [poly.MONOMIAL, poly.BOX])
@@ -163,57 +194,6 @@ class TestTensorKernel:
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError, match="unknown basis"):
             poly.design_matrix(np.zeros((3, 2)), 2, "chebyshev")
-
-
-class TestBasisConversion:
-    @pytest.mark.parametrize("dim,degree", [(1, 8), (2, 6), (3, 4)])
-    def test_round_trip_preserves_evaluation(self, dim, degree):
-        rng = np.random.default_rng(7)
-        alphas = poly.multi_indices(dim, degree)
-        p = poly.MultiPoly(dim, degree, poly.MONOMIAL,
-                           dict(zip(alphas, rng.standard_normal(len(alphas)))))
-        box = (np.full(dim, -1.5), np.full(dim, 2.0))
-        back = p.to_box(box).to_monomial()
-        pts = rng.uniform(-1.5, 2.0, size=(100, dim))
-        ref = p.eval(pts)
-        np.testing.assert_allclose(back.eval(pts), ref,
-                                   rtol=1e-9, atol=1e-9 * np.abs(ref).max())
-
-    @given(dim=st.integers(1, 3), degree=st.integers(0, 6),
-           basis=st.sampled_from([poly.MONOMIAL, poly.BOX]),
-           lo=st.lists(st.floats(-2.0, 1.0), min_size=3, max_size=3),
-           width=st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3),
-           seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60, deadline=None)
-    @example(dim=2, degree=6, basis=poly.BOX, lo=[0.0, 1.0, 0.0], width=[1.0, 0.5, 1.0], seed=0)
-    def test_round_trip_property(self, dim, degree, basis, lo, width, seed):
-        # monomial -> box -> monomial, or box -> monomial -> box
-        rng = np.random.default_rng(seed)
-        box = (np.array(lo[:dim]), np.array(lo[:dim]) + np.array(width[:dim]))
-        alphas = poly.multi_indices(dim, degree)
-        p = poly.MultiPoly(dim, degree, basis,
-                           dict(zip(alphas, rng.standard_normal(len(alphas)))), box)
-        back = (p.to_box(box).to_monomial() if basis == poly.MONOMIAL
-                else p.to_monomial().to_box(box))
-        assert back.basis == basis
-        pts = rng.uniform(box[0], box[1], size=(100, dim))
-        ref = p.eval(pts)
-        np.testing.assert_allclose(back.eval(pts), ref,
-                                   rtol=1e-9, atol=1e-9 * np.abs(ref).max())
-
-    def test_box_eval_agrees_with_monomial(self):
-        p = poly.MultiPoly(2, 3, poly.MONOMIAL, {(0, 0): 1.0, (2, 1): -0.5, (3, 0): 2.0})
-        box = ([-1.0, 0.0], [1.0, 2.0])
-        q = p.to_box(box)
-        pts = np.random.default_rng(1).uniform(0, 1, size=(50, 2))
-        np.testing.assert_allclose(q.eval(pts), p.eval(pts), rtol=1e-9, atol=1e-12)
-
-    def test_subtraction(self):
-        p = poly.MultiPoly(1, 2, poly.MONOMIAL, {(2,): 1.0, (0,): 1.0})
-        q = poly.MultiPoly(1, 1, poly.MONOMIAL, {(1,): 2.0, (0,): 1.0})
-        r = p - q
-        xs = np.linspace(-2, 2, 9).reshape(-1, 1)
-        np.testing.assert_allclose(r.eval(xs), p.eval(xs) - q.eval(xs), atol=1e-12)
 
 
 class TestFitRegression:
@@ -454,42 +434,6 @@ class TestRestrictedDegree:
         g = lambda v: float(v[0] * v[1]) ** 2
         deg = poly.restricted_degree(g, dim=2, max_deg=8, lines=10, seed=0)
         assert deg == 4
-
-
-class TestSerialization:
-    def test_round_trip_monomial(self, tmp_path):
-        p = poly.MultiPoly(2, 3, poly.MONOMIAL,
-                           {(0, 0): 0.5, (1, 2): -2.25, (3, 0): 1e-3})
-        path = tmp_path / "p.txt"
-        poly.save_poly(p, path)
-        q = poly.load_poly(path)
-        assert q.coeffs == p.coeffs
-        assert q.basis == poly.MONOMIAL
-
-    def test_round_trip_box(self, tmp_path):
-        p = poly.MultiPoly(2, 2, poly.BOX, {(0, 0): 1.0, (1, 1): 2.0},
-                           ([0.0, -1.0], [1.0, 1.0]))
-        path = tmp_path / "p.txt"
-        poly.save_poly(p, path)
-        q = poly.load_poly(path)
-        pts = np.random.default_rng(0).uniform(0, 1, size=(20, 2))
-        np.testing.assert_allclose(q.eval(pts), p.eval(pts), rtol=1e-12)
-
-    def test_negative_exponent_in_file_rejected(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("# basis=monomial\n0 0 1.0\n-1 2 1.0\n")
-        with pytest.raises(ValueError, match=r"\(-1, 2\)"):
-            poly.load_poly(path)
-
-    def test_graded_lex_order_in_file(self, tmp_path):
-        p = poly.MultiPoly(2, 2, poly.MONOMIAL,
-                           {(2, 0): 1.0, (0, 0): 1.0, (1, 1): 1.0, (0, 1): 1.0})
-        path = tmp_path / "p.txt"
-        poly.save_poly(p, path)
-        rows = [line.split() for line in path.read_text().splitlines()
-                if line and not line.startswith("#")]
-        alphas = [tuple(int(v) for v in r[:-1]) for r in rows]
-        assert alphas == sorted(alphas, key=poly.grlex_key)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,

@@ -195,17 +195,6 @@ class TestTransferCheck:
         assert worst <= self.CALIBRATED_C / 0.25
         assert worst == pytest.approx(4.9476, abs=0.02)  # exact max is at c = 1
 
-    def test_instance_file_round_trip(self, tmp_path):
-        X = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
-        s = dist.IntervalUnion(((-1.0, 0.0), (1.0, math.inf)))
-        inst = trunc.TruncatedRegressionInstance(X, lambda x: float(x.sum()), s)
-        path = tmp_path / "inst.csv"
-        trunc.save_instance(inst, path)
-        loaded = trunc.load_instance(path, lambda x: float(x.sum()))
-        np.testing.assert_array_equal(loaded.covariates, X)
-        assert loaded.trunc_set.intervals == s.intervals
-        np.testing.assert_allclose(loaded.locations, inst.locations)
-
     def test_coefficient_independent_of_model_complexity(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(12, 1))
