@@ -1,7 +1,7 @@
 """Probability distribution catalog.
 
 Provides the closed set of densities used throughout the package: Gaussians,
-uniform boxes, truncated Gaussians, 1-D products, and the log-concave
+uniform boxes, 1-D truncated Gaussians, 1-D products, and the log-concave
 "bridge" densities that interpolate between a base density (a Gaussian or a
 product) and its translate: one ``Bridge`` envelope sup_{t in [0, gamma]}
 base(x - t v) / Z (``bridge_1d(mu)`` is ``bridge_nd([mu])``).
@@ -14,12 +14,11 @@ evaluates rows: its ``_pdf`` maps (m, dim) points to an (m,) array, and the
 base class's ``pdf`` accepts a point (returning a float) or rows (returning
 that array).  Code inside the package calls ``_pdf`` on rows.  Sampling is
 deterministic given ``(seed, path)`` (:mod:`polytransfer.rng`); factor i of a
-product draws at ``path + (Tag.FACTOR, i)``, rejection round i at ``path +
-(Tag.ATTEMPT, i)``; a bridge draws its base at ``path`` and its plateau
-uniforms at ``path + (Tag.PLATEAU,)``.  ``blocks(n, seed, path, size)`` yields
-row blocks of at most ``size`` that concatenate to ``sample(n, seed, path)``
-bit for bit; Gaussians, uniform boxes and their products hold one block at a
-time (bounded memory).
+product draws at ``path + (Tag.FACTOR, i)``; a bridge draws its base at
+``path`` and its plateau uniforms at ``path + (Tag.PLATEAU,)``.
+``blocks(n, seed, path, size)`` yields row blocks of at most ``size`` that
+concatenate to ``sample(n, seed, path)`` bit for bit; Gaussians, uniform boxes
+and their products hold one block at a time (bounded memory).
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .rng import Tag, make_rng
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
-# Mass floor below which rejection sampling (sets that reduce to no intervals) refuses to run.
-REJECTION_FALLBACK_ACCEPTANCE = 1e-3
 # Half-width of a bounding box, in standard deviations per coordinate.
 BOX_SIGMAS = 8.0
 
@@ -47,10 +44,6 @@ class DimensionMismatchError(ValueError):
 
 class NotSPDError(ValueError):
     pass
-
-
-class RejectionBudgetError(RuntimeError):
-    """Raised when rejection sampling would silently bias results."""
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -182,6 +175,16 @@ def intervals_of(s: TruncationSet):
     return None
 
 
+def _check_set_dim(s: TruncationSet, dim: int):
+    """Raise ``DimensionMismatchError`` for an interval union, halfspace or box
+    of another dimension than ``dim``; other sets carry no dimension."""
+    set_dim = (1 if isinstance(s, IntervalUnion)
+               else len(s.normal) if isinstance(s, Halfspace)
+               else len(s.lo) if isinstance(s, BoxSet) else dim)
+    if set_dim != dim:
+        raise DimensionMismatchError(f"set has dim {set_dim}, Gaussian has dim {dim}")
+
+
 # ---------------------------------------------------------------------------
 # Density catalog
 # ---------------------------------------------------------------------------
@@ -213,7 +216,7 @@ class Density:
         """Successive row blocks of at most ``size`` rows that concatenate to
         ``sample(n, seed, path)`` bit for bit.
 
-        This default slices one full sample, which keeps the rejection and
+        This default slices one full sample, which keeps the bridge and
         inverse-CDF samplers exact; densities that draw row by row override
         it to hold only one block.
         """
@@ -321,21 +324,23 @@ class Product(Density):
 
 
 class TruncatedGaussian(Density):
-    """N(mean, cov) conditioned on a truncation set.
+    """1-D N(mean, var) conditioned on a set that ``intervals_of`` reduces to intervals.
 
-    The normalizing mass is computed exactly for 1-D interval unions,
-    halfspaces, and boxes with diagonal covariance; otherwise by Monte Carlo
-    with ``gaussian_mass``'s fixed seed, so the pdf stays deterministic.  A 1-D set
-    that ``intervals_of`` reduces draws by an exact inverse CDF at any mass;
-    any other set draws by rejection.
+    The normalizing mass is ``gaussian_mass``'s exact one, and draws invert
+    the CDF exactly at any mass.  Any other set, and any dimension but 1,
+    raises ``ValueError`` at construction, before a mass is computed; a set
+    of another dimension than the Gaussian's raises ``DimensionMismatchError``.
     """
 
     def __init__(self, mean, cov, trunc_set: TruncationSet):
         self.base = Gaussian(mean, cov)
         self.dim = self.base.dim
+        _check_set_dim(trunc_set, self.dim)
+        self.intervals = intervals_of(trunc_set)
+        if self.intervals is None:
+            raise ValueError("a truncated Gaussian needs a 1-D interval union, halfspace or box")
         self.trunc_set = trunc_set
-        est = gaussian_mass(self.base.mean, self.base.cov, trunc_set)
-        self.mass = float(est)
+        self.mass = float(gaussian_mass(self.base.mean, self.base.cov, trunc_set))
         if self.mass <= 0:
             raise ValueError("truncation set has zero mass")
         self.label = f"trunc-gaussian(dim={self.dim}, mass={self.mass:.3g})"
@@ -344,29 +349,7 @@ class TruncatedGaussian(Density):
         return np.where(self.trunc_set.contains(pts), self.base._pdf(pts) / self.mass, 0.0)
 
     def sample(self, n, seed, path=()):
-        if self.dim == 1 and (intervals := intervals_of(self.trunc_set)):
-            return self._sample_inverse_cdf(n, seed, path, intervals)
-        if self.mass < REJECTION_FALLBACK_ACCEPTANCE:
-            raise RejectionBudgetError(
-                f"acceptance rate {self.mass:.3g} below {REJECTION_FALLBACK_ACCEPTANCE} "
-                "and the set reduces to no intervals"
-            )
-        out = np.empty((n, self.dim))
-        filled = 0
-        for attempt in range(10_001):
-            if filled == n:
-                return out
-            need = n - filled
-            batch = max(64, int(1.5 * need / max(self.mass, 1e-12)))
-            draws = self.base.sample(batch, seed, (*path, Tag.ATTEMPT, attempt))
-            keep = draws[self.trunc_set.contains(draws)]
-            take = min(need, keep.shape[0])
-            out[filled:filled + take] = keep[:take]
-            filled += take
-        raise RejectionBudgetError("rejection sampling budget exhausted")
-
-    def _sample_inverse_cdf(self, n, seed, path, intervals):
-        """Exact draws on intervals by the inverse CDF, at any mass.
+        """Exact draws on the intervals by the inverse CDF, at any mass.
 
         Each interval is split at the mean and its upper half reflected, so
         every piece [lo, hi] (standard units, hi <= 0) inverts a lower-tail
@@ -380,7 +363,7 @@ class TruncatedGaussian(Density):
         mu = float(self.base.mean[0])
         sd = math.sqrt(float(self.base.cov[0, 0]))
         pieces = []   # (lo, hi, sign, a, b): [lo, hi] in standard units, hi <= 0
-        for a, b in intervals:
+        for a, b in self.intervals:
             za, zb = (a - mu) / sd, (b - mu) / sd
             if za < 0:
                 pieces.append((za, min(zb, 0.0), 1.0, a, b))
@@ -400,10 +383,7 @@ class TruncatedGaussian(Density):
 
     def bounding_box(self):
         lo, hi = self.base.bounding_box()
-        if self.dim == 1 and (intervals := intervals_of(self.trunc_set)):
-            lo = np.maximum(lo, intervals[0][0])
-            hi = np.minimum(hi, intervals[-1][1])
-        return lo, hi
+        return np.maximum(lo, self.intervals[0][0]), np.minimum(hi, self.intervals[-1][1])
 
 
 class Bridge(Density):
@@ -524,15 +504,6 @@ def bridge_construct(kind: str, **params) -> Density:
 
 
 @dataclass
-class GridSpec:
-    """Search grid for ratio sups: the per-axis resolution over the union of
-    the two densities' bounding boxes (mean +- ``BOX_SIGMAS`` sd per
-    coordinate), which is reported with the result."""
-
-    points_per_dim: int | None = None
-
-
-@dataclass
 class RatioSupResult:
     value: float
     box_lo: np.ndarray
@@ -565,16 +536,18 @@ def _eval_ratio_on_grid(P, Q, axes):
     return float(ratio[i]), pts[i]
 
 
-def density_ratio_sup(P: Density, Q: Density, grid: GridSpec | None = None,
+def density_ratio_sup(P: Density, Q: Density, points_per_dim: int | None = None,
                       details: bool = False):
     """sup_x P(x)/Q(x) over an adaptive grid (one refinement pass).
 
+    The grid has ``points_per_dim`` points per axis (a default by dimension
+    when None) over the union of the two densities' bounding boxes (mean +-
+    ``BOX_SIGMAS`` sd per coordinate), which is reported with the result.
     Exact for uniform-box pairs.  Returns +inf when P has mass where Q
     vanishes on the searched grid.
     """
     if P.dim != Q.dim:
         raise DimensionMismatchError("densities must share a dimension")
-    grid = grid or GridSpec()
 
     if isinstance(P, UniformBox) and isinstance(Q, UniformBox):
         if np.all(P.lo >= Q.lo) and np.all(P.hi <= Q.hi):
@@ -588,7 +561,7 @@ def density_ratio_sup(P: Density, Q: Density, grid: GridSpec | None = None,
     qlo, qhi = Q.bounding_box()
     lo = np.minimum(plo, qlo)
     hi = np.maximum(phi, qhi)
-    m = grid.points_per_dim or _default_points(P.dim)
+    m = points_per_dim or _default_points(P.dim)
     if m < 2:
         raise ValueError("empty grid")
 
@@ -608,7 +581,7 @@ def density_ratio_sup(P: Density, Q: Density, grid: GridSpec | None = None,
 
 
 def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
-                     grid: GridSpec | None = None) -> McEstimate:
+                     points_per_dim: int | None = None) -> McEstimate:
     """D_alpha(P || Q) = (E_{x~Q} [(P(x)/Q(x))^alpha])^(1/alpha).
 
     alpha = +inf routes to the density-ratio sup.  An infinite ratio at a
@@ -622,7 +595,7 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
     if P is Q:
         return McEstimate(1.0, 0.0)
     if math.isinf(alpha):
-        val = density_ratio_sup(P, Q, grid)
+        val = density_ratio_sup(P, Q, points_per_dim)
         return McEstimate(float(val), 0.0)
     x = Q.sample(mc.n_samples, mc.seed, mc.path)
     p, q = P._pdf(x), Q._pdf(x)
@@ -659,12 +632,8 @@ def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None)
     box of another dimension than the Gaussian's raises ``DimensionMismatchError``.
     """
     g = Gaussian(mean, cov)
-    mean, cov, dim = g.mean, g.cov, g.dim
-    set_dim = (1 if isinstance(trunc_set, IntervalUnion)
-               else len(trunc_set.normal) if isinstance(trunc_set, Halfspace)
-               else len(trunc_set.lo) if isinstance(trunc_set, BoxSet) else dim)
-    if set_dim != dim:
-        raise DimensionMismatchError(f"set has dim {set_dim}, Gaussian has dim {dim}")
+    mean, cov = g.mean, g.cov
+    _check_set_dim(trunc_set, g.dim)
 
     if isinstance(trunc_set, IntervalUnion):
         mu, sd = float(mean[0]), math.sqrt(float(cov[0, 0]))

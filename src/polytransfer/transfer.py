@@ -230,7 +230,7 @@ def catalog_coefficient(kind: str, d: int, **params):
 def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
                     holder: HolderPair, bridge: dist.Density | None = None,
                     constant: float = DEFAULT_C, mc: McSpec = McSpec(100_000, 0),
-                    grid: dist.GridSpec | None = None,
+                    points_per_dim: int | None = None,
                     kind: str = "euclidean") -> TransferReport:
     """Measure both sides of the transfer inequality and fill a report.
 
@@ -243,8 +243,8 @@ def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
     if bridge is None and not Q.log_concave:
         raise ValueError("Q is not log-concave; supply a bridge")
     mu = Q if bridge is None else bridge
-    dq = dist.renyi_divergence(Q, mu, holder.alpha, mc, grid).value
-    dp = dist.renyi_divergence(P, mu, holder.alpha, mc, grid).value
+    dq = dist.renyi_divergence(Q, mu, holder.alpha, mc, points_per_dim).value
+    dp = dist.renyi_divergence(P, mu, holder.alpha, mc, points_per_dim).value
     coefficient = bridge_transfer_coefficient(d, holder, max(dq, 1.0), max(dp, 1.0), constant)
     bridge_label = "target-is-log-concave" if bridge is None else bridge.label
 

@@ -16,6 +16,13 @@ PATHS = st.lists(st.integers(0, 2 ** 64 - 1), max_size=3).map(tuple)
 SQRT_2PI = math.sqrt(2 * math.pi)
 
 
+class AbsAtLeastHalf(dist.TruncationSet):
+    """{y : |y| >= 1/2}: a 1-D set that ``intervals_of`` does not reduce."""
+
+    def contains(self, x):
+        return np.abs(np.asarray(x, dtype=float).reshape(-1)) >= 0.5
+
+
 def quad_mass(d, lo, hi):
     return quad(lambda t: float(np.asarray(d.pdf(t))), lo, hi, limit=300)[0]
 
@@ -236,12 +243,15 @@ class TestSampling:
         assert out.shape == (200_000, 2)
         assert peak < 28 * 2 ** 20   # the result alone is 3.1 MiB
 
-    def test_nd_small_mass_still_raises(self):
-        box = dist.BoxSet((3.0, 3.0), (4.0, 4.0))  # mass ~ 1.8e-6, no intervals in 2-D
-        tg = dist.TruncatedGaussian([0.0, 0.0], np.eye(2), box)
-        assert tg.mass < dist.REJECTION_FALLBACK_ACCEPTANCE
-        with pytest.raises(dist.RejectionBudgetError):
-            tg.sample(10, 0)
+    @pytest.mark.parametrize("mean, cov, s", [
+        ([0.0, 0.0], np.eye(2), dist.BoxSet((3.0, 3.0), (4.0, 4.0))),
+        ([0.0], [[1.0]], AbsAtLeastHalf())], ids=["2d-box", "1d-custom-set"])
+    def test_set_without_intervals_rejected_before_its_mass(self, mean, cov, s, monkeypatch):
+        # such sets used to build (a 2-D box with a mass of 1.8e-6) and then
+        # draw by rejection
+        monkeypatch.setattr(dist, "gaussian_mass", lambda *a: pytest.fail("mass computed"))
+        with pytest.raises(ValueError, match="interval union, halfspace or box"):
+            dist.TruncatedGaussian(mean, cov, s)
 
     @pytest.mark.parametrize("ints", [((6.0, math.inf),), ((30.0, math.inf),),
                                       ((-math.inf, -30.0),)])

@@ -171,9 +171,8 @@ class TestCatalogCoefficient:
         bridge, coeff = transfer.catalog_coefficient("gaussianNd", 1, mu=mu)
         p = dist.Gaussian(np.zeros(2), np.eye(2))
         q = dist.Gaussian(mu, np.eye(2))
-        grid = dist.GridSpec(points_per_dim=161)
-        sp = dist.density_ratio_sup(p, bridge, grid)
-        sq = dist.density_ratio_sup(q, bridge, grid)
+        sp = dist.density_ratio_sup(p, bridge, 161)
+        sq = dist.density_ratio_sup(q, bridge, 161)
         assert sp * sq == pytest.approx(coeff, rel=0.05)
 
     def test_quadratic_growth_in_asymptotic_regime(self):

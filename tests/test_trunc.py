@@ -6,8 +6,6 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from polytransfer import dist, trunc
-from polytransfer.mc import McSpec
-from polytransfer.rng import Tag
 
 HALF_LINE = dist.IntervalUnion(((0.0, math.inf),))
 REAL_LINE = dist.IntervalUnion(((-math.inf, math.inf),))
@@ -134,18 +132,6 @@ class TestMse:
         f = trunc.full_mse(lambda x: 0.5, inst)
         assert t == pytest.approx(f, rel=1e-10)
 
-    def test_mc_fallback_for_general_set(self):
-        class DiskComplement(dist.TruncationSet):
-            def contains(self, x):
-                pts = np.asarray(x, dtype=float).reshape(-1, 1)
-                return np.abs(pts[:, 0]) >= 0.5
-
-        inst = one_point_instance(0.0, DiskComplement())
-        got = trunc.truncated_mse(lambda x: 0.0, inst, mc=McSpec(200_000, 3))
-        mass = 2 * (1 - norm.cdf(0.5))
-        expected = (1.0 - quad(lambda y: y * y * norm.pdf(y), -0.5, 0.5)[0]) / mass
-        assert got == pytest.approx(expected, rel=0.02)
-
 
 class TestAlphaMass:
     def test_full_line(self):
@@ -181,6 +167,8 @@ class TestTransferCheck:
             res = trunc.truncated_transfer_check(lambda x, c=c: c, inst)
             assert res.truncated <= 2.0 * res.full + 1e-8
             assert res.reverse.satisfied
+            for rep in (res.forward, res.reverse):   # both sides are exact
+                assert rep.lhs_se == 0.0 and rep.rhs_se == 0.0
 
     CALIBRATED_C = 1.25  # preliminary pass: max alpha^2 * full/truncated = 1.2369 at c = 1
 
@@ -210,67 +198,16 @@ class TestTransferCheck:
 
 
 class AbsAtLeastHalf(dist.TruncationSet):
-    """{y : |y| >= 1/2}: not reducible to intervals, so sampled."""
+    """{y : |y| >= 1/2}: not reducible to intervals."""
 
     def contains(self, x):
         return np.abs(np.asarray(x, dtype=float).reshape(-1)) >= 0.5
 
 
-class TestTransferCheckStandardErrors:
-    def test_general_set_stderr_comes_from_the_sampled_squares(self):
-        inst = one_point_instance(0.0, AbsAtLeastHalf())
-        mass = 2 * norm.sf(0.5)
-        exact = (1.0 - quad(lambda y: y * y * norm.pdf(y), -0.5, 0.5)[0]) / mass
-        res = {}
-        for seed in (3, 4):
-            r = trunc.truncated_transfer_check(lambda x: 0.0, inst, mc=McSpec(10_000, seed))
-            y = trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 10_000, seed,
-                                              (Tag.LOCATION, 0))
-            assert r.forward.lhs_se == 0.0 and r.reverse.rhs_se == 0.0  # full MSE is exact
-            assert r.reverse.lhs_se == pytest.approx(np.std(y ** 2, ddof=1) / 100.0, rel=1e-12)
-            assert r.forward.rhs_se == pytest.approx(r.forward.coefficient * r.reverse.lhs_se,
-                                                     rel=1e-12)
-            assert abs(r.truncated - exact) < 4.0 * r.reverse.lhs_se
-            res[seed] = r
-        gap = abs(res[3].truncated - res[4].truncated)
-        assert gap < 3.0 * math.hypot(res[3].reverse.lhs_se, res[4].reverse.lhs_se)
+class TestIntervalContract:
+    def test_set_without_intervals_rejected_at_construction(self):
+        # this used to construct, then fail at the first truncated MSE for
+        # want of a Monte Carlo budget
+        with pytest.raises(ValueError, match="reduce to intervals"):
+            one_point_instance(0.0, AbsAtLeastHalf())
 
-    def test_locations_draw_from_their_own_paths(self):
-        # every location used to draw with the same seed: two locations at
-        # one point gave one estimate twice
-        inst = trunc.TruncatedRegressionInstance(np.zeros((2, 1)), lambda x: 0.0,
-                                                 AbsAtLeastHalf())
-        r = trunc.truncated_transfer_check(lambda x: 0.0, inst, mc=McSpec(2000, 5))
-        ests = [np.mean(trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 2000, 5,
-                                                      (Tag.LOCATION, i)) ** 2)
-                for i in (0, 1)]
-        assert ests[0] != ests[1]
-        assert r.truncated == pytest.approx(np.mean(ests), rel=1e-12)
-
-    def test_each_location_estimates_its_mass_once(self, monkeypatch):
-        # alpha_mass_min estimates each location's mass; the location's own
-        # floor check and its sampler used to estimate the same mass twice more
-        calls, real = [], dist.gaussian_mass
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        inst = trunc.TruncatedRegressionInstance(np.zeros((3, 1)), lambda x: 0.0,
-                                                 AbsAtLeastHalf())
-        monkeypatch.setattr(dist, "gaussian_mass", counting)
-        r = trunc.truncated_transfer_check(lambda x: 0.0, inst, mc=McSpec(2000, 5))
-        monkeypatch.undo()
-        assert len(calls) == 6
-        ests = [np.mean(trunc.sample_truncated_normal(0.0, 1.0, inst.trunc_set, 2000, 5,
-                                                      (Tag.LOCATION, i)) ** 2)
-                for i in range(3)]
-        assert r.truncated == np.mean(ests)   # the same draws, bit for bit
-
-    def test_interval_set_is_exact_with_or_without_a_budget(self):
-        inst = one_point_instance(0.0, HALF_LINE)
-        exact = trunc.truncated_transfer_check(lambda x: 0.3, inst)
-        budget = trunc.truncated_transfer_check(lambda x: 0.3, inst, mc=McSpec(10_000, 1))
-        assert budget == exact
-        for rep in (budget.forward, budget.reverse):
-            assert rep.lhs_se == 0.0 and rep.rhs_se == 0.0
