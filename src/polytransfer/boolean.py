@@ -105,11 +105,6 @@ class BooleanFn:
             arr[mask] = c
         return BooleanFn(n, coeff_array=arr)
 
-    @staticmethod
-    def from_callable(n: int, fn) -> "BooleanFn":
-        pts = points(n)
-        return BooleanFn(n, table=np.array([float(fn(p)) for p in pts]))
-
     # -- representations ----------------------------------------------------
 
     @property

@@ -6,7 +6,7 @@ uniform boxes, 1-D truncated Gaussians, 1-D products, and the log-concave
 product) and its translate: one ``Bridge`` envelope sup_{t in [0, gamma]}
 base(x - t v) / Z (``bridge_1d(mu)`` is ``bridge_nd([mu])``).
 On top of the catalog it implements density-ratio sups over adaptive grids,
-Rényi divergences, Gaussian mass of truncation sets, and bridge construction.
+Rényi divergences and bridge construction.
 
 All densities are evaluable (``pdf``), samplable (``sample``), and carry a
 bounding box used as the default search region for ratio sups.  A subclass
@@ -105,27 +105,8 @@ def _maybe_scalar(values: np.ndarray, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class TruncationSet:
-    """Measurable subset with a deterministic membership test."""
-
-    def contains(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Halfspace(TruncationSet):
-    """{x : normal . x <= offset}"""
-
-    normal: tuple
-    offset: float
-
-    def contains(self, x):
-        pts = _as_points(x, len(self.normal))
-        return pts @ np.asarray(self.normal, dtype=float) <= self.offset + 0.0
-
-
-@dataclass(frozen=True)
-class IntervalUnion(TruncationSet):
+class IntervalUnion:
     """Disjoint ordered union of closed intervals on the real line."""
 
     intervals: tuple
@@ -149,7 +130,7 @@ class IntervalUnion(TruncationSet):
 
 
 @dataclass(frozen=True)
-class BoxSet(TruncationSet):
+class BoxSet:
     lo: tuple
     hi: tuple
 
@@ -158,31 +139,6 @@ class BoxSet(TruncationSet):
         hi = np.asarray(self.hi, dtype=float)
         pts = _as_points(x, lo.size)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
-
-
-def intervals_of(s: TruncationSet):
-    """The intervals of a 1-D interval union, halfspace or box; None for any other set."""
-    if isinstance(s, IntervalUnion):
-        return s.intervals
-    if isinstance(s, Halfspace) and len(s.normal) == 1:
-        a = float(s.normal[0])
-        if a > 0:
-            return ((-math.inf, s.offset / a),)
-        if a < 0:
-            return ((s.offset / a, math.inf),)
-    if isinstance(s, BoxSet) and len(s.lo) == 1:
-        return ((float(s.lo[0]), float(s.hi[0])),)
-    return None
-
-
-def _check_set_dim(s: TruncationSet, dim: int):
-    """Raise ``DimensionMismatchError`` for an interval union, halfspace or box
-    of another dimension than ``dim``; other sets carry no dimension."""
-    set_dim = (1 if isinstance(s, IntervalUnion)
-               else len(s.normal) if isinstance(s, Halfspace)
-               else len(s.lo) if isinstance(s, BoxSet) else dim)
-    if set_dim != dim:
-        raise DimensionMismatchError(f"set has dim {set_dim}, Gaussian has dim {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +280,21 @@ class Product(Density):
 
 
 class TruncatedGaussian(Density):
-    """1-D N(mean, var) conditioned on a set that ``intervals_of`` reduces to intervals.
+    """N(mean, var) on the line conditioned on an ``IntervalUnion``.
 
-    The normalizing mass is ``gaussian_mass``'s exact one, and draws invert
-    the CDF exactly at any mass.  Any other set, and any dimension but 1,
-    raises ``ValueError`` at construction, before a mass is computed; a set
-    of another dimension than the Gaussian's raises ``DimensionMismatchError``.
+    The normalizing mass is ``gaussian_mass``, and draws invert the CDF
+    exactly at any mass.  Any other set raises ``ValueError`` at
+    construction, before a mass is computed.
     """
 
-    def __init__(self, mean, cov, trunc_set: TruncationSet):
-        self.base = Gaussian(mean, cov)
-        self.dim = self.base.dim
-        _check_set_dim(trunc_set, self.dim)
-        self.intervals = intervals_of(trunc_set)
-        if self.intervals is None:
-            raise ValueError("a truncated Gaussian needs a 1-D interval union, halfspace or box")
-        self.trunc_set = trunc_set
-        self.mass = float(gaussian_mass(self.base.mean, self.base.cov, trunc_set))
+    dim = 1
+
+    def __init__(self, mean: float, var: float, s: IntervalUnion):
+        self.base = Gaussian([mean], [[var]])
+        if not isinstance(s, IntervalUnion):
+            raise ValueError("a truncated Gaussian needs an interval union")
+        self.trunc_set = s
+        self.mass = gaussian_mass(mean, var, s)
         if self.mass <= 0:
             raise ValueError("truncation set has zero mass")
         self.label = f"trunc-gaussian(dim={self.dim}, mass={self.mass:.3g})"
@@ -363,7 +317,7 @@ class TruncatedGaussian(Density):
         mu = float(self.base.mean[0])
         sd = math.sqrt(float(self.base.cov[0, 0]))
         pieces = []   # (lo, hi, sign, a, b): [lo, hi] in standard units, hi <= 0
-        for a, b in self.intervals:
+        for a, b in self.trunc_set.intervals:
             za, zb = (a - mu) / sd, (b - mu) / sd
             if za < 0:
                 pieces.append((za, min(zb, 0.0), 1.0, a, b))
@@ -383,7 +337,8 @@ class TruncatedGaussian(Density):
 
     def bounding_box(self):
         lo, hi = self.base.bounding_box()
-        return np.maximum(lo, self.intervals[0][0]), np.minimum(hi, self.intervals[-1][1])
+        ints = self.trunc_set.intervals
+        return np.maximum(lo, ints[0][0]), np.minimum(hi, ints[-1][1])
 
 
 class Bridge(Density):
@@ -622,37 +577,14 @@ def normal_interval_mass(za: float, zb: float) -> float:
     return 0.5 * (math.erfc(-zb / _SQRT_2) - math.erfc(-za / _SQRT_2))
 
 
-def gaussian_mass(mean, cov, trunc_set: TruncationSet, mc: McSpec | None = None) -> McEstimate:
-    """Mass of ``trunc_set`` under N(mean, cov).
-
-    Exact (``normal_interval_mass``) for 1-D interval unions, any-dimension
-    halfspaces, and boxes with diagonal covariance; Monte Carlo otherwise.
-    The covariance is parsed by ``Gaussian``, so one that is not symmetric
-    positive definite raises ``NotSPDError``.  An interval union, halfspace or
-    box of another dimension than the Gaussian's raises ``DimensionMismatchError``.
-    """
-    g = Gaussian(mean, cov)
-    mean, cov = g.mean, g.cov
-    _check_set_dim(trunc_set, g.dim)
-
-    if isinstance(trunc_set, IntervalUnion):
-        mu, sd = float(mean[0]), math.sqrt(float(cov[0, 0]))
-        total = 0.0
-        for a, b in trunc_set.intervals:
-            total += normal_interval_mass((a - mu) / sd, (b - mu) / sd)
-        return McEstimate(min(max(total, 0.0), 1.0), 0.0)
-    if isinstance(trunc_set, Halfspace):
-        w = np.asarray(trunc_set.normal, dtype=float)
-        mu = float(w @ mean)
-        sd = math.sqrt(float(w @ cov @ w))
-        return McEstimate(normal_interval_mass(-math.inf, (trunc_set.offset - mu) / sd), 0.0)
-    if isinstance(trunc_set, BoxSet) and np.allclose(cov, np.diag(np.diag(cov))):
-        sd = np.sqrt(np.diag(cov))
-        z_lo = (np.asarray(trunc_set.lo, dtype=float) - mean) / sd
-        z_hi = (np.asarray(trunc_set.hi, dtype=float) - mean) / sd
-        return McEstimate(math.prod(map(normal_interval_mass, z_lo.tolist(), z_hi.tolist())),
-                          0.0)
-
-    mc = mc or McSpec(200_000, seed=0)
-    x = g.sample(mc.n_samples, mc.seed, mc.path)
-    return mean_and_stderr(trunc_set.contains(x).astype(float))
+def gaussian_mass(mean: float, var: float, s: IntervalUnion) -> float:
+    """Mass of the interval union ``s`` under N(mean, var): the sum of
+    ``normal_interval_mass`` over its intervals, clamped to [0, 1].  A
+    variance that is not > 0 raises ``NotSPDError``."""
+    if not var > 0:
+        raise NotSPDError("variance must be > 0")
+    mu, sd = float(mean), math.sqrt(var)
+    total = 0.0
+    for a, b in s.intervals:
+        total += normal_interval_mass((a - mu) / sd, (b - mu) / sd)
+    return min(max(total, 0.0), 1.0)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mc import mean_and_stderr
 from .rng import make_rng
 
 TAU_DENOM_FLOOR = 1e-18
@@ -235,16 +234,6 @@ def critical_time(trace: GOTUTrace, c0: float = DEFAULT_C0) -> float | None:
             frac = (c0 - tau0) / (tau_j - tau0)
             return t0 + frac * (t1 - t0)
     return None
-
-
-def mc_seen_loss(net: DiagonalLinearNet, target: LinearTarget, k: int,
-                 n_samples: int, seed: int):
-    """Monte Carlo check of L_S over uniform draws from the seen half."""
-    rng = make_rng(seed)
-    x = rng.choice([-1.0, 1.0], size=(n_samples, net.n))
-    x[:, k] = 1.0
-    est = mean_and_stderr((net(x) - target(x)) ** 2)
-    return est.value, est.stderr
 
 
 def transfer_threshold_coefficient(mass: float = 0.5, k_d: float = 1.0) -> float:

@@ -168,10 +168,6 @@ class MultiPoly:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
 
-def zero_poly(dim: int, basis: str = MONOMIAL, box=None) -> MultiPoly:
-    return MultiPoly(dim, 0, basis, {tuple([0] * dim): 0.0}, box)
-
-
 # ---------------------------------------------------------------------------
 # Regression
 # ---------------------------------------------------------------------------

@@ -270,17 +270,6 @@ def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
 # ---------------------------------------------------------------------------
 
 
-def random_polynomial(dim: int, degree: int, rng) -> MultiPoly:
-    """Monomial-basis polynomial with iid standard normal coefficients,
-    normalized to a unit coefficient vector (the documented ensemble)."""
-    from .poly import multi_indices
-
-    alphas = multi_indices(dim, degree)
-    c = rng.standard_normal(len(alphas))
-    c /= np.linalg.norm(c)
-    return MultiPoly(dim, degree, "monomial", dict(zip(alphas, c)))
-
-
 def abs_moment_uniform_1d(coeffs, a: float, b: float) -> float:
     """Exact E|p(x)| under U([a, b]) for a 1-D monomial-coefficient vector.
 

@@ -1,8 +1,7 @@
 """Truncated-statistics application: label-space truncation of regression noise.
 
 Labels are y = f*(x) + eps with standard normal noise, observed only when y
-falls in a truncation set S of the real line: one that ``dist.intervals_of``
-reduces to intervals (an interval union, a 1-D halfspace or a 1-D box).  The
+falls in a truncation set S of the real line, a ``dist.IntervalUnion``.  The
 truncated mean squared error of a model f averages E[(y - f(x_i))^2] over
 y ~ N(f*(x_i), 1) conditioned on S; the full MSE drops the conditioning.  With
 alpha = min_i N(f*(x_i), 1; S), a change of measure gives
@@ -14,10 +13,10 @@ since (y - c)^2 is a nonnegative degree-2 polynomial of y and the
 untruncated normal is log-concave.  The coefficient does not depend on the
 complexity of f*.
 
-Label-space expectations and masses use the closed-form moments of the
-truncated normal (Johnson, Kotz & Balakrishnan, *Continuous Univariate
-Distributions* vol. 1), keeping the inequality checks free of Monte Carlo
-noise.
+Label-space expectations use the closed-form moments of the truncated normal
+(Johnson, Kotz & Balakrishnan, *Continuous Univariate Distributions* vol. 1),
+and alpha the exact interval mass ``dist.gaussian_mass``, so the inequality
+checks carry no Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ import numpy as np
 from . import dist
 from .transfer import HolderPair, TransferReport
 
-EXACT_MASS_FLOOR = 1e-6
-MC_MASS_FLOOR = 1e-3
+EXACT_MASS_FLOOR = 1e-6   # least mass of S at one location that truncated_mse divides by
+ALPHA_FLOOR = 1e-3        # least alpha that truncated_transfer_check reports on
 
 
 class MassTooSmallError(ValueError):
@@ -41,16 +40,15 @@ class MassTooSmallError(ValueError):
 @dataclass
 class TruncatedRegressionInstance:
     """Covariates plus the true model and the label truncation set; a set
-    that ``dist.intervals_of`` does not reduce to intervals raises ``ValueError``."""
+    that is not a ``dist.IntervalUnion`` raises ``ValueError``."""
 
     covariates: np.ndarray
     f_star: object                 # callable R^n -> R
-    trunc_set: dist.TruncationSet
+    trunc_set: dist.IntervalUnion
 
     def __post_init__(self):
-        self.intervals = dist.intervals_of(self.trunc_set)
-        if self.intervals is None:
-            raise ValueError("the label truncation set must reduce to intervals")
+        if not isinstance(self.trunc_set, dist.IntervalUnion):
+            raise ValueError("the label truncation set must be an interval union")
         X = np.asarray(self.covariates, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
@@ -93,21 +91,12 @@ def truncated_normal_moments(mu: float, intervals) -> tuple[float, float, float]
     return m0, m1, m2
 
 
-def sample_truncated_normal(mean: float, var: float, s: dist.TruncationSet,
-                            n: int, seed: int, path: tuple = ()) -> np.ndarray:
-    """Draws from N(mean, var) conditioned on s; all samples land inside s."""
-    tg = dist.TruncatedGaussian([mean], [[var]], s)
-    if tg.mass < EXACT_MASS_FLOOR:
-        raise MassTooSmallError(f"truncation mass {tg.mass:.3g} below {EXACT_MASS_FLOOR}")
-    return tg.sample(n, seed, path)[:, 0]
-
-
 def truncated_mse(model, inst: TruncatedRegressionInstance) -> float:
     """(1/N) sum_i E_{y ~ N_S(f*(x_i), 1)} [(y - model(x_i))^2], exactly."""
     preds = np.array([float(model(x)) for x in inst.covariates])
     per_location = []
     for mu, c in zip(inst.locations, preds):
-        m0, m1, m2 = truncated_normal_moments(mu, inst.intervals)
+        m0, m1, m2 = truncated_normal_moments(mu, inst.trunc_set.intervals)
         if m0 < EXACT_MASS_FLOOR:
             raise MassTooSmallError(f"truncation mass {m0:.3g} below {EXACT_MASS_FLOOR}")
         per_location.append((m2 - 2.0 * c * m1 + c * c * m0) / m0)
@@ -122,8 +111,7 @@ def full_mse(model, inst: TruncatedRegressionInstance) -> float:
 
 def alpha_mass_min(inst: TruncatedRegressionInstance) -> float:
     """min_i N(f*(x_i), 1; S): the usable-mass floor of the instance."""
-    return min(min(max(truncated_normal_moments(mu, inst.intervals)[0], 0.0), 1.0)
-               for mu in inst.locations)
+    return min(dist.gaussian_mass(mu, 1.0, inst.trunc_set) for mu in inst.locations)
 
 
 @dataclass
@@ -144,7 +132,7 @@ def truncated_transfer_check(model, inst: TruncatedRegressionInstance,
     """Report both directions of the truncated/full MSE comparison; both
     sides are exact, so every standard error is 0."""
     alpha = alpha_mass_min(inst)
-    if alpha < MC_MASS_FLOOR:
+    if alpha < ALPHA_FLOOR:
         raise MassTooSmallError(f"alpha = {alpha:.3g} below the usable floor")
     t_mse = truncated_mse(model, inst)
     f_mse = full_mse(model, inst)

@@ -113,7 +113,7 @@ class TestKernelsMatchReferences:
 
 class TestTransform:
     def test_single_coordinate(self):
-        f = boolean.BooleanFn.from_callable(2, lambda x: x[0])
+        f = boolean.BooleanFn.from_table(boolean.points(2)[:, 0])
         coeffs = f.fourier
         assert coeffs == {1: pytest.approx(1.0)}
 

@@ -60,13 +60,6 @@ class TestCallers:
         est = poly.mc_functional(lambda x: x[:, 0] ** 2, g, McSpec(1, 3))
         assert math.isfinite(est.value) and math.isnan(est.stderr)
 
-    def test_gaussian_mass_single_sample_is_quiet(self):
-        box = dist.BoxSet((-1.0, -1.0), (1.0, 1.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = dist.gaussian_mass([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], box, McSpec(1, 0))
-        assert est.value in (0.0, 1.0) and math.isnan(est.stderr)
-
     def test_region_mse_overflowing_spread(self):
         sampler = lambda n, seed: make_rng(seed).random((n, 2))
         model = lambda pts: 1e121 * pts[:, 0]

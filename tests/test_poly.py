@@ -82,7 +82,7 @@ class TestEval:
         assert p.eval([2.0, 3.0]) == pytest.approx(6.0)
 
     def test_zero_polynomial(self):
-        p = poly.zero_poly(3)
+        p = poly.MultiPoly(3, 0, poly.MONOMIAL, {(0, 0, 0): 0.0})
         pts = np.random.default_rng(0).normal(size=(10, 3))
         np.testing.assert_array_equal(p.eval(pts), np.zeros(10))
 

@@ -131,7 +131,7 @@ class TestEmpiricalRatio:
         assert res.ratio == pytest.approx(2.0, rel=0.02)
 
     def test_zero_polynomial_rejected(self):
-        f = poly.zero_poly(1)
+        f = poly.MultiPoly(1, 0, poly.MONOMIAL, {(0,): 0.0})
         p = dist.UniformBox([0.0], [1.0])
         with pytest.raises(ValueError):
             transfer.empirical_transfer_ratio(f, p, p, 1, McSpec(100, 0))
@@ -209,8 +209,12 @@ class TestVerifyTransfer:
         p = dist.UniformBox([0.0], [1.0])
         q = dist.UniformBox([0.0], [3.0])
         hp = transfer.HolderPair(math.inf, 1.0)
+        alphas = poly.multi_indices(1, 2)
         for _ in range(5):
-            f = transfer.random_polynomial(1, 2, rng)
+            # iid standard normal coefficients scaled to a unit vector
+            c = rng.standard_normal(len(alphas))
+            c /= np.linalg.norm(c)
+            f = poly.MultiPoly(1, 2, poly.MONOMIAL, dict(zip(alphas, c)))
             rep = transfer.verify_transfer(f, p, q, 2, hp, mc=McSpec(50_000, 1))
             assert rep.satisfied
             assert rep.bridge == "target-is-log-concave"
@@ -241,7 +245,7 @@ class TestVerifyTransfer:
                                          mc=McSpec(20_000, 0))
         assert rep.bridge == "target-is-log-concave"
         assert rep.coefficient == pytest.approx(joint.coefficient, rel=1e-9)
-        two_sided = dist.TruncatedGaussian([0.0], [[1.0]],
+        two_sided = dist.TruncatedGaussian(0.0, 1.0,
                                            dist.IntervalUnion(((-3.0, -1.0), (1.0, 3.0))))
         with pytest.raises(ValueError, match="not log-concave"):
             transfer.verify_transfer(f, p, dist.Product([g, two_sided]), 1, hp)
@@ -263,7 +267,7 @@ class TestVerifyTransfer:
     def test_non_logconcave_target_requires_bridge(self):
         f = poly.MultiPoly(1, 1, poly.MONOMIAL, {(1,): 1.0})
         p = dist.Gaussian([0.0], [[1.0]])
-        q = dist.TruncatedGaussian([0.0], [[1.0]], dist.IntervalUnion(((0.0, math.inf),)))
+        q = dist.TruncatedGaussian(0.0, 1.0, dist.IntervalUnion(((0.0, math.inf),)))
         with pytest.raises(ValueError):
             transfer.verify_transfer(f, p, q, 1, transfer.HolderPair(math.inf, 1.0))
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -69,26 +70,25 @@ class TestMoments:
             assert abs(m1 - q1) <= 1e-11 * math.sqrt(q0 * q2)
 
 
+def truncated_draws(mean, var, s, n, seed):
+    return dist.TruncatedGaussian(mean, var, s).sample(n, seed)[:, 0]
+
+
 class TestSampler:
     def test_half_normal_mean(self):
-        draws = trunc.sample_truncated_normal(0.0, 1.0, HALF_LINE, 100_000, 0)
+        draws = truncated_draws(0.0, 1.0, HALF_LINE, 100_000, 0)
         assert np.all(draws >= 0)
         assert draws.mean() == pytest.approx(math.sqrt(2 / math.pi), abs=0.02)
 
     def test_full_line_matches_normal(self):
-        draws = np.sort(trunc.sample_truncated_normal(0.0, 1.0, REAL_LINE, 10_000, 1))
+        draws = np.sort(truncated_draws(0.0, 1.0, REAL_LINE, 10_000, 1))
         ks = np.max(np.abs(norm.cdf(draws) - np.arange(1, 10_001) / 10_000))
         assert ks <= 2.0 / math.sqrt(10_000)
 
     def test_far_mean_half_line(self):
-        draws = trunc.sample_truncated_normal(5.0, 1.0, HALF_LINE, 100_000, 2)
+        draws = truncated_draws(5.0, 1.0, HALF_LINE, 100_000, 2)
         expected = 5.0 + norm.pdf(-5.0) / (1 - norm.cdf(-5.0))
         assert draws.mean() == pytest.approx(expected, abs=0.02)
-
-    def test_tiny_mass_errors(self):
-        s = dist.IntervalUnion(((10.0, math.inf),))
-        with pytest.raises(trunc.MassTooSmallError):
-            trunc.sample_truncated_normal(0.0, 1.0, s, 10, 0)
 
 
 class TestMse:
@@ -132,6 +132,13 @@ class TestMse:
         f = trunc.full_mse(lambda x: 0.5, inst)
         assert t == pytest.approx(f, rel=1e-10)
 
+    def test_location_below_exact_mass_floor_raises(self):
+        # S = [10, inf) at mu = 0 has mass 7.6e-24; the transfer check stops
+        # at the alpha floor first, so only a direct call reaches this one
+        inst = one_point_instance(0.0, dist.IntervalUnion(((10.0, math.inf),)))
+        with pytest.raises(trunc.MassTooSmallError, match="below 1e-06"):
+            trunc.truncated_mse(lambda x: 0.0, inst)
+
 
 class TestAlphaMass:
     def test_full_line(self):
@@ -150,6 +157,19 @@ class TestAlphaMass:
         assert alpha < 1e-6  # below every usable floor
         with pytest.raises(trunc.MassTooSmallError):
             trunc.truncated_transfer_check(lambda x: 0.0, inst)
+
+    @given(ends=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=8, unique=True),
+           open_lo=st.booleans(), open_hi=st.booleans(), mu=st.floats(-45.0, 45.0))
+    @settings(max_examples=300, deadline=None)
+    def test_mass_bits_equal_clamped_moment_mass(self, ends, open_lo, open_hi, mu):
+        # alpha comes from gaussian_mass, truncated_mse normalises by the
+        # moments' m0: the two must be one number
+        ends = sorted(ends)[:len(ends) // 2 * 2]
+        ends[0] = -math.inf if open_lo else ends[0]
+        ends[-1] = math.inf if open_hi else ends[-1]
+        s = dist.IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
+        m0 = trunc.truncated_normal_moments(mu, s.intervals)[0]
+        assert dist.gaussian_mass(mu, 1.0, s).hex() == min(max(m0, 0.0), 1.0).hex()
 
 
 class TestTransferCheck:
@@ -197,8 +217,8 @@ class TestTransferCheck:
         assert res_a.truncated != pytest.approx(res_b.truncated, rel=1e-3)
 
 
-class AbsAtLeastHalf(dist.TruncationSet):
-    """{y : |y| >= 1/2}: not reducible to intervals."""
+class AbsAtLeastHalf:
+    """{y : |y| >= 1/2}: not an ``IntervalUnion``."""
 
     def contains(self, x):
         return np.abs(np.asarray(x, dtype=float).reshape(-1)) >= 0.5
@@ -208,6 +228,6 @@ class TestIntervalContract:
     def test_set_without_intervals_rejected_at_construction(self):
         # this used to construct, then fail at the first truncated MSE for
         # want of a Monte Carlo budget
-        with pytest.raises(ValueError, match="reduce to intervals"):
+        with pytest.raises(ValueError, match="interval union"):
             one_point_instance(0.0, AbsAtLeastHalf())
 
