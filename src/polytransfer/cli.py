@@ -32,6 +32,12 @@ gains from a second thread, while an idle helper thread busy-waits after
 ``import numpy`` and after every threaded call.  With OpenBLAS and the
 variable unset, a run's bytes then do not depend on the host's core count:
 ``A.T @ A`` in the fit rounds differently on one thread than on several.
+
+A run's independent pieces (figure models, gotu flows) use up to one forked
+worker per CPU of its affinity mask (``_in_workers``): one CPU forks nothing,
+and may lose a little.  A run's rusage counts its workers' CPU; ``ru_maxrss``
+from ``wait4`` is the largest process's peak, not their sum.  CPython >= 3.12
+warns on a fork in a threaded process.
 """
 
 from __future__ import annotations
@@ -157,6 +163,51 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+_WORKERS = None   # tests force a worker count here; no config key or variable sets it
+
+
+def _in_workers(thunks: list) -> list:
+    """``[t() for t in thunks]``, thunk i on worker ``i mod k`` (worker 0 is this process);
+    the first exception in task order is re-raised.  Tasks return, not print, their lines."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(len(thunks), _WORKERS or cores) or 1
+
+    def share(w):   # worker w's (value, error) per task, up to its first error
+        for t in thunks[w::k]:
+            try:
+                yield t(), None
+            except Exception as e:
+                yield None, e
+                return
+
+    children, ended = [], []
+    try:
+        for w in range(1, k):
+            import pickle
+            r, wr = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:   # never return into the caller's code
+                    with os.fdopen(wr, "wb") as fh:
+                        pickle.dump(list(share(w)), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wr)
+            children.append((pid, os.fdopen(r, "rb")))
+        shares = [list(share(0))]
+    finally:   # read each pipe, then reap its child, whatever was raised here
+        for pid, fh in children:
+            with fh:
+                ended.append((fh.read(), os.waitpid(pid, 0)[1]))
+    if not all(data and status == 0 for data, status in ended):
+        raise RuntimeError("a worker exited without a complete result")
+    shares += [pickle.loads(data) for data, _ in ended]
+    outcomes = [o for row in itertools.zip_longest(*shares) for o in row if o is not None]
+    if errors := [error for _, error in outcomes if error is not None]:
+        raise errors[0]
+    return [value for value, _ in outcomes]
+
+
 # ---------------------------------------------------------------------------
 # Figure experiments
 # ---------------------------------------------------------------------------
@@ -241,49 +292,46 @@ def run_figure(cfg: dict, out_dir: Path, *, prefix: str, f_star, seen_lo, seen_h
     if noise:
         y = y + noise * make_rng(seed, Tag.NOISE).standard_normal(y.size)
 
-    fit = fit_extrapolating_poly(X, y, degree, seen_lo, seen_hi, band_lo, band_hi,
-                                 ridge=cfg[f"{prefix}.ridge"],
-                                 band_penalty=cfg[f"{prefix}.band_penalty"])
-
-    def train(name, m, epochs, rate):
+    def train(name, activation, path, epochs, rate, **init):   # forward map, stderr line
+        m, line = nets.mlp_init(activation=activation, seed=seed, path=(Tag.INIT, path),
+                                **init), None
         try:
-            return nets.train_adagrad(m, X, y, epochs=epochs, rate=rate, seed=seed)[0]
+            m = nets.train_adagrad(m, X, y, epochs=epochs, rate=rate, seed=seed)[0]
         except nets.DivergenceError as e:
-            print(f"{prefix}: {name} diverged (seed {seed}): {e}; "
-                  "evaluating the weights of that batch", file=sys.stderr)
-            return e.model
-
-    relu = train("relu_net", nets.mlp_init(activation=nets.RELU, seed=seed, path=(Tag.INIT, 0)),
-                 cfg[f"{prefix}.epochs"], cfg[f"{prefix}.rate"])
-    models = {"f_star": f_star, "poly20": fit.poly.eval,
-              "relu_net": lambda pts: nets.forward(relu, pts)}
-    if with_poly_net:
-        pnet = train("poly_net",
-                     nets.mlp_init(activation=nets.POLY, seed=seed, path=(Tag.INIT, 1),
-                                   init_scale=cfg[f"{prefix}.poly_init_scale"]),
-                     cfg[f"{prefix}.poly_epochs"], cfg[f"{prefix}.poly_rate"])
-        models["poly_net"] = lambda pts: nets.forward(pnet, pts)
-
-    # heatmaps over [-5, 5]^2 on a shared color range
-    for name, model in models.items():
-        hm = grid_eval(lambda pts, m=model: _plot_values(m, pts),
-                       -5, 5, -5, 5, resolution)
-        hm.vmax = 1.5
-        hm.title = name
-        emit_svg_heatmap(hm, out_dir / f"heatmap_{name}.svg")
+            m, line = e.model, (f"{prefix}: {name} diverged (seed {seed}): {e}; "
+                                "evaluating the weights of that batch")
+        return (lambda pts: nets.forward(m, pts)), line
 
     seen_sampler = lambda n, s: dist.UniformBox(seen_lo, seen_hi).sample(n, s, (Tag.SEEN,))
     band_sampler = _band_sampler(band_lo, band_hi, seen_lo, seen_hi)
     full_sampler = lambda n, s: dist.UniformBox([-5, -5], [5, 5]).sample(n, s, (Tag.FULL,))
     regions = {"seen": seen_sampler, "band": band_sampler, "full": full_sampler}
-    rows = []
-    for model_name, model in models.items():
-        if model_name == "f_star":
-            continue
-        for region, sampler in regions.items():
-            mse, se = _region_mse(model, f_star, sampler, McSpec(20_000, seed))
-            rows.append([model_name, region, mse, se])
-    write_csv(out_dir / "mse.csv", ["model", "region", "mse", "se"], rows)
+
+    def model_task(name):
+        """Fit or train one model and write its heatmap: its MSE rows and stderr line."""
+        model, line = f_star, None
+        if name == "poly20":
+            model = fit_extrapolating_poly(X, y, degree, seen_lo, seen_hi, band_lo, band_hi,
+                                           ridge=cfg[f"{prefix}.ridge"],
+                                           band_penalty=cfg[f"{prefix}.band_penalty"]).poly.eval
+        elif name == "relu_net":
+            model, line = train(name, nets.RELU, 0, cfg[f"{prefix}.epochs"], cfg[f"{prefix}.rate"])
+        elif name == "poly_net":
+            model, line = train(name, nets.POLY, 1, cfg[f"{prefix}.poly_epochs"],
+                                cfg[f"{prefix}.poly_rate"],
+                                init_scale=cfg[f"{prefix}.poly_init_scale"])
+        # heatmaps over [-5, 5]^2 on a shared color range
+        hm = grid_eval(lambda pts: _plot_values(model, pts), -5, 5, -5, 5, resolution)
+        hm.vmax, hm.title = 1.5, name
+        emit_svg_heatmap(hm, out_dir / f"heatmap_{name}.svg")
+        return [[name, region, *_region_mse(model, f_star, sampler, McSpec(20_000, seed))]
+                for region, sampler in regions.items() if name != "f_star"], line
+
+    names = ["f_star", "poly20", "relu_net"] + ["poly_net"] * with_poly_net
+    results = _in_workers([lambda name=name: model_task(name) for name in names])
+    sys.stderr.writelines(line + "\n" for _, line in results if line)
+    write_csv(out_dir / "mse.csv", ["model", "region", "mse", "se"],
+              [row for rows, _ in results for row in rows])
     return 0
 
 
@@ -454,31 +502,23 @@ def run_gotu(cfg: dict, out_dir: Path) -> int:
     n, depth = cfg["gotu.n"], cfg["gotu.depth"]
     k = 0
     c0 = cfg["gotu.c0"]
-    target = gotu.LinearTarget(0.0, np.eye(n)[k])
-    net = gotu.init_weights(n, depth, cfg["gotu.alpha"], cfg["seed"])
-    _, trace = gotu.gradient_flow(net, target, k, step=cfg["gotu.step"],
-                                  horizon=cfg["gotu.horizon"])
-    trace.t_star = gotu.critical_time(trace, c0)
-    write_csv(out_dir / "trace.csv", ["t", "L_S", "L", "tau", "fhat_k"],
-              list(trace.rows()))
-    summary_header = ["n", "L", "alpha", "seed", "t_star"]
-    summary = [[n, depth, cfg["gotu.alpha"], cfg["seed"],
-                trace.t_star if trace.t_star is not None else "none"]]
 
-    # critical-time scaling: spread-coefficient target so tau(0) ~ 1/n < c0
-    scaling_rows = []
-    for n_i in cfg["gotu.scaling_ns"]:
-        t_targ = gotu.LinearTarget(0.0, np.ones(n_i))
-        for s in range(cfg["gotu.scaling_seeds"]):
-            seed_s = replicate_seed(cfg["seed"], s)
-            net_i = gotu.init_weights(n_i, depth, cfg["gotu.scaling_alpha"], seed_s)
-            _, tr = gotu.gradient_flow(net_i, t_targ, k, step=cfg["gotu.step"],
-                                       horizon=cfg["gotu.scaling_horizon"],
-                                       record_every=5)
-            ts = gotu.critical_time(tr, c0)
-            scaling_rows.append([n_i, depth, cfg["gotu.scaling_alpha"], seed_s,
-                                 ts if ts is not None else "none"])
-    write_csv(out_dir / "summary.csv", summary_header, summary + scaling_rows)
+    def flow(n_i, alpha, seed_s, coef, horizon, **kw):
+        net = gotu.init_weights(n_i, depth, alpha, seed_s)
+        _, trace = gotu.gradient_flow(net, gotu.LinearTarget(0.0, coef), k,
+                                      step=cfg["gotu.step"], horizon=horizon, **kw)
+        ts = gotu.critical_time(trace, c0)
+        return [n_i, depth, alpha, seed_s, ts if ts is not None else "none"], trace
+
+    main = lambda: flow(n, cfg["gotu.alpha"], cfg["seed"], np.eye(n)[k], cfg["gotu.horizon"])
+    # critical-time scaling (rows only): spread-coefficient target so tau(0) ~ 1/n < c0
+    scaling = [lambda n_i=n_i, s=s: flow(n_i, cfg["gotu.scaling_alpha"],
+                                         replicate_seed(cfg["seed"], s), np.ones(n_i),
+                                         cfg["gotu.scaling_horizon"], record_every=5)[0]
+               for n_i in cfg["gotu.scaling_ns"] for s in range(cfg["gotu.scaling_seeds"])]
+    (summary, trace), *rows = _in_workers([main] + scaling)
+    write_csv(out_dir / "trace.csv", ["t", "L_S", "L", "tau", "fhat_k"], list(trace.rows()))
+    write_csv(out_dir / "summary.csv", ["n", "L", "alpha", "seed", "t_star"], [summary, *rows])
     return 0
 
 

@@ -153,7 +153,6 @@ class GOTUTrace:
     full_loss: list = field(default_factory=list)
     tau: list = field(default_factory=list)
     fhat_k: list = field(default_factory=list)
-    t_star: float | None = None
 
     def append(self, t, l_s, l_full, tau_val, fhat):
         self.times.append(t)

@@ -315,11 +315,15 @@ def run_small_figure(tmp_path, experiment, **extra):
 
 
 class TestFigureStreams:
+    """The recorders below run the figure on one worker (``cli._WORKERS = 1``):
+    a call made in a forked worker never reaches a recorder in this process."""
+
     def test_net_init_is_not_an_image_of_the_training_points(self, tmp_path, monkeypatch):
         # the nets used to draw their first-layer weights from the root
         # stream of the training points, an affine image of the first 20
         from polytransfer import dist, nets
 
+        monkeypatch.setattr(cli, "_WORKERS", 1)
         inits, real = [], nets.mlp_init
 
         def recorded(*args, **kwargs):
@@ -339,6 +343,7 @@ class TestFigureStreams:
         # (3), the seen (5), full (6) and band (7) samplers
         from polytransfer import dist, nets
 
+        monkeypatch.setattr(cli, "_WORKERS", 1)
         keys = {"nets": set(), "data": set()}
 
         def recording(owner, real):
@@ -356,8 +361,10 @@ class TestFigureStreams:
         assert len(keys["nets"]) == 2 + 7 and len(keys["data"]) == 4
         assert not keys["nets"] & keys["data"]
 
-    def test_diverged_net_is_evaluated_and_reported(self, tmp_path, capsys):
-        # at init scale 1 the cubic net overflows on its first batch
+    def test_diverged_net_is_evaluated_and_reported(self, tmp_path, capsys, monkeypatch):
+        # at init scale 1 the cubic net overflows on its first batch; it
+        # trains in a forked worker, and this process prints the line
+        monkeypatch.setattr(cli, "_WORKERS", 2)
         out = run_small_figure(tmp_path, "fig2", poly_epochs=2, poly_init_scale=1.0)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -559,8 +566,9 @@ class TestBlasThreads:
 # every call from the caller into the callee is one call site.
 # - verify_transfer reads both Renyi divergences against a bridge from one
 #   bridge sample;
-# - fig2's two nets train on one epoch stream, so they see the same batches.
-SHARED_SAMPLES = {("verify_transfer", "renyi_divergence"), ("run_figure", "train")}
+# - fig2's two nets train on one epoch stream, so they see the same batches
+#   (each net's task calls `train` from its own line of `model_task`).
+SHARED_SAMPLES = {("verify_transfer", "renyi_divergence"), ("model_task", "train")}
 
 
 def audit_streams(monkeypatch, action, shared=SHARED_SAMPLES) -> dict:
@@ -569,10 +577,13 @@ def audit_streams(monkeypatch, action, shared=SHARED_SAMPLES) -> dict:
     Returns {(seed, path): call sites} for the (seed, path) pairs that more
     than one call site built.  A call site is the chain of polytransfer
     frames, outermost first, as (module, function, line); a loop that
-    rebuilds one stream from one line is one call site.
+    rebuilds one stream from one line is one call site.  The action runs on
+    one worker (``cli._WORKERS = 1``): a stream built in a forked worker would
+    never reach the recorder in this process.
     """
     from polytransfer import rng
 
+    monkeypatch.setattr(cli, "_WORKERS", 1)
     for name in sorted(EXPERIMENT_MODULES):
         __import__(name)
     real, pkg = rng.make_rng, str(Path(polytransfer.__file__).parent)
@@ -628,9 +639,72 @@ class TestStreamAudit:
         figure = lambda: cli.main(["run", str(cfg)])
         for action, keys, caller in [
                 (check, {(3, ()), (3, (Tag.PLATEAU,))}, ("transfer", "verify_transfer")),
-                (figure, {(0, (Tag.EPOCH, 0)), (0, (Tag.EPOCH, 1))}, ("cli", "run_figure"))]:
+                (figure, {(0, (Tag.EPOCH, 0)), (0, (Tag.EPOCH, 1))}, ("cli", "model_task"))]:
             assert not audit_streams(monkeypatch, action)
             undeclared = audit_streams(monkeypatch, action, shared=set())
             assert set(undeclared) == keys
             for a, b in undeclared.values():   # the same frames but for the caller's line
                 assert {fa[:2] for fa, fb in zip(a, b) if fa != fb} == {caller}
+
+
+def throw(error):
+    raise error
+
+
+class TestWorkers:
+    """``cli._in_workers(thunks)`` is ``[t() for t in thunks]`` on any number of
+    forked workers; tests force the count through ``cli._WORKERS``."""
+
+    @pytest.mark.parametrize("experiment, files", [("fig1", 4), ("fig2", 5), ("gotu", 2)])
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch,
+                                                       experiment, files):
+        # under pytest numpy's OpenBLAS threads are already running when a run forks
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_WORKERS", workers)
+            out = tmp_path / f"workers-{workers}"
+            run_config(tmp_path, f"experiment = {experiment}\nout = {out}\n"
+                       + SMALL_RUNS[experiment])
+            outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                                if p.suffix in (".csv", ".svg")}
+        assert len(outputs[1]) == files
+        assert outputs[2] == outputs[1]
+
+    def test_task_i_runs_on_worker_i_mod_k_and_returns_in_order(self, monkeypatch):
+        monkeypatch.setattr(cli, "_WORKERS", 3)
+        results = cli._in_workers([lambda i=i: (i, os.getpid()) for i in range(7)])
+        assert [i for i, _ in results] == list(range(7))
+        pids = [pid for _, pid in results]
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        assert pids == [pids[i % 3] for i in range(7)]
+
+    def test_first_exception_in_task_order_crosses_with_its_attributes(self, monkeypatch):
+        from polytransfer import nets
+
+        monkeypatch.setattr(cli, "_WORKERS", 2)
+        model = nets.mlp_init(seed=3)
+        # task 1 fails in the child; task 2, later in task order, fails in this process
+        tasks = [lambda: 0, lambda: throw(nets.DivergenceError("loss inf", model=model)),
+                 lambda: throw(ValueError("a later task"))]
+        with pytest.raises(nets.DivergenceError, match="loss inf") as info:
+            cli._in_workers(tasks)
+        assert info.value.model is not model
+        for crossed, sent in zip(info.value.model.weights + info.value.model.biases,
+                                 model.weights + model.biases, strict=True):
+            np.testing.assert_array_equal(crossed, sent)
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_a_child_that_exits_mid_task_raises(self, monkeypatch, code):
+        monkeypatch.setattr(cli, "_WORKERS", 2)
+        parent = os.getpid()
+        exits = lambda: os.getpid() != parent and os._exit(code)   # never in this process
+        with pytest.raises(RuntimeError, match="without a complete result"):
+            cli._in_workers([lambda: 0, exits, lambda: 2])
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: throw(AssertionError("forked on one CPU")))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run_config(tmp_path, f"experiment = fig2\nout = {tmp_path / 'run'}\n" + SMALL_RUNS["fig2"])
+        assert cli._in_workers([os.getpid, os.getpid]) == [os.getpid()] * 2
+        monkeypatch.delattr(os, "sched_getaffinity")   # then the count is 1
+        assert cli._in_workers([os.getpid, os.getpid]) == [os.getpid()] * 2
