@@ -163,34 +163,32 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-_WORKERS = None   # tests force a worker count here; no config key or variable sets it
-
-
 def _in_workers(thunks: list) -> list:
     """``[t() for t in thunks]``, thunk i on worker ``i mod k`` (worker 0 is this process);
     the first exception in task order is re-raised.  Tasks return, not print, their lines."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(len(thunks), _WORKERS or cores) or 1
+    k = min(len(thunks), cores) or 1
 
-    def share(w):   # worker w's (value, error) per task, up to its first error
+    def share(w):   # worker w's (value, error, child's traceback) up to its first error
         for t in thunks[w::k]:
             try:
-                yield t(), None
+                yield t(), None, None
             except Exception as e:
-                yield None, e
+                yield None, e, w and traceback.format_exc()
                 return
 
     children, ended = [], []
     try:
         for w in range(1, k):
-            import pickle
+            import pickle, traceback
             r, wr = os.pipe()
             if (pid := os.fork()) == 0:
                 try:   # never return into the caller's code
                     with os.fdopen(wr, "wb") as fh:
                         pickle.dump(list(share(w)), fh)
                     os._exit(0)
-                finally:
+                finally:   # reached on an error only, such as a result that does not pickle
+                    print(traceback.format_exc(), file=sys.stderr, flush=True)
                     os._exit(1)
             os.close(wr)
             children.append((pid, os.fdopen(r, "rb")))
@@ -203,9 +201,12 @@ def _in_workers(thunks: list) -> list:
         raise RuntimeError("a worker exited without a complete result")
     shares += [pickle.loads(data) for data, _ in ended]
     outcomes = [o for row in itertools.zip_longest(*shares) for o in row if o is not None]
-    if errors := [error for _, error in outcomes if error is not None]:
-        raise errors[0]
-    return [value for value, _ in outcomes]
+    for _, error, trace in outcomes:   # the first error in task order
+        if trace:   # pickling dropped the child's traceback: chain its text
+            error.__cause__ = RuntimeError(f"in a forked worker:\n{trace}")
+        if error is not None:
+            raise error
+    return [value for value, _, _ in outcomes]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,11 @@ class TestExperiments:
         assert (tmp_path / "root" / "sub" / "ensemble.csv").exists()
 
 
+def use_cpus(monkeypatch, n):
+    """Show ``cli._in_workers`` an affinity mask of n CPUs, so it runs n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def run_small_figure(tmp_path, experiment, **extra):
     out = tmp_path / "run"
     lines = [f"experiment = {experiment}", f"out = {out}", f"{experiment}.n_samples = 64",
@@ -315,15 +321,15 @@ def run_small_figure(tmp_path, experiment, **extra):
 
 
 class TestFigureStreams:
-    """The recorders below run the figure on one worker (``cli._WORKERS = 1``):
-    a call made in a forked worker never reaches a recorder in this process."""
+    """The recorders below run the figure on one CPU, so on one worker: a call
+    made in a forked worker never reaches a recorder in this process."""
 
     def test_net_init_is_not_an_image_of_the_training_points(self, tmp_path, monkeypatch):
         # the nets used to draw their first-layer weights from the root
         # stream of the training points, an affine image of the first 20
         from polytransfer import dist, nets
 
-        monkeypatch.setattr(cli, "_WORKERS", 1)
+        use_cpus(monkeypatch, 1)
         inits, real = [], nets.mlp_init
 
         def recorded(*args, **kwargs):
@@ -343,7 +349,7 @@ class TestFigureStreams:
         # (3), the seen (5), full (6) and band (7) samplers
         from polytransfer import dist, nets
 
-        monkeypatch.setattr(cli, "_WORKERS", 1)
+        use_cpus(monkeypatch, 1)
         keys = {"nets": set(), "data": set()}
 
         def recording(owner, real):
@@ -364,7 +370,7 @@ class TestFigureStreams:
     def test_diverged_net_is_evaluated_and_reported(self, tmp_path, capsys, monkeypatch):
         # at init scale 1 the cubic net overflows on its first batch; it
         # trains in a forked worker, and this process prints the line
-        monkeypatch.setattr(cli, "_WORKERS", 2)
+        use_cpus(monkeypatch, 2)
         out = run_small_figure(tmp_path, "fig2", poly_epochs=2, poly_init_scale=1.0)
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -578,12 +584,12 @@ def audit_streams(monkeypatch, action, shared=SHARED_SAMPLES) -> dict:
     than one call site built.  A call site is the chain of polytransfer
     frames, outermost first, as (module, function, line); a loop that
     rebuilds one stream from one line is one call site.  The action runs on
-    one worker (``cli._WORKERS = 1``): a stream built in a forked worker would
-    never reach the recorder in this process.
+    one CPU, so on one worker: a stream built in a forked worker would never
+    reach the recorder in this process.
     """
     from polytransfer import rng
 
-    monkeypatch.setattr(cli, "_WORKERS", 1)
+    use_cpus(monkeypatch, 1)
     for name in sorted(EXPERIMENT_MODULES):
         __import__(name)
     real, pkg = rng.make_rng, str(Path(polytransfer.__file__).parent)
@@ -653,7 +659,7 @@ def throw(error):
 
 class TestWorkers:
     """``cli._in_workers(thunks)`` is ``[t() for t in thunks]`` on any number of
-    forked workers; tests force the count through ``cli._WORKERS``."""
+    forked workers, one per CPU of the affinity mask (``use_cpus`` sets it)."""
 
     @pytest.mark.parametrize("experiment, files", [("fig1", 4), ("fig2", 5), ("gotu", 2)])
     def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch,
@@ -661,7 +667,7 @@ class TestWorkers:
         # under pytest numpy's OpenBLAS threads are already running when a run forks
         outputs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_WORKERS", workers)
+            use_cpus(monkeypatch, workers)
             out = tmp_path / f"workers-{workers}"
             run_config(tmp_path, f"experiment = {experiment}\nout = {out}\n"
                        + SMALL_RUNS[experiment])
@@ -671,7 +677,7 @@ class TestWorkers:
         assert outputs[2] == outputs[1]
 
     def test_task_i_runs_on_worker_i_mod_k_and_returns_in_order(self, monkeypatch):
-        monkeypatch.setattr(cli, "_WORKERS", 3)
+        use_cpus(monkeypatch, 3)
         results = cli._in_workers([lambda i=i: (i, os.getpid()) for i in range(7)])
         assert [i for i, _ in results] == list(range(7))
         pids = [pid for _, pid in results]
@@ -681,7 +687,7 @@ class TestWorkers:
     def test_first_exception_in_task_order_crosses_with_its_attributes(self, monkeypatch):
         from polytransfer import nets
 
-        monkeypatch.setattr(cli, "_WORKERS", 2)
+        use_cpus(monkeypatch, 2)
         model = nets.mlp_init(seed=3)
         # task 1 fails in the child; task 2, later in task order, fails in this process
         tasks = [lambda: 0, lambda: throw(nets.DivergenceError("loss inf", model=model)),
@@ -695,7 +701,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("code", [0, 1])
     def test_a_child_that_exits_mid_task_raises(self, monkeypatch, code):
-        monkeypatch.setattr(cli, "_WORKERS", 2)
+        use_cpus(monkeypatch, 2)
         parent = os.getpid()
         exits = lambda: os.getpid() != parent and os._exit(code)   # never in this process
         with pytest.raises(RuntimeError, match="without a complete result"):
@@ -703,8 +709,30 @@ class TestWorkers:
 
     def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: throw(AssertionError("forked on one CPU")))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        use_cpus(monkeypatch, 1)
         run_config(tmp_path, f"experiment = fig2\nout = {tmp_path / 'run'}\n" + SMALL_RUNS["fig2"])
         assert cli._in_workers([os.getpid, os.getpid]) == [os.getpid()] * 2
-        monkeypatch.delattr(os, "sched_getaffinity")   # then the count is 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)   # then the count is 1
         assert cli._in_workers([os.getpid, os.getpid]) == [os.getpid()] * 2
+
+    def test_a_child_s_exception_carries_its_traceback_as_text(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="in the child") as info:
+            cli._in_workers([lambda: 0, lambda: throw(ValueError("in the child"))])
+        cause = info.value.__cause__   # pickling drops the traceback itself
+        assert isinstance(cause, RuntimeError) and "in a forked worker" in str(cause)
+        assert "in throw" in str(cause) and "ValueError: in the child" in str(cause)
+        with pytest.raises(ValueError) as info:   # this process keeps its own traceback
+            cli._in_workers([lambda: throw(ValueError("here")), lambda: 0])
+        assert info.value.__cause__ is None
+
+    def test_a_child_that_cannot_send_its_result_says_why(self, monkeypatch, capfd):
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="without a complete result"):
+            cli._in_workers([lambda: 0, lambda: (lambda: "a local function does not pickle")])
+        assert "pickle" in capfd.readouterr().err
+
+    def test_the_fork_warning_of_cpython_3_12_is_not_an_error(self):
+        # pyproject's filterwarnings ignores the exact message os.fork warns with
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning)
