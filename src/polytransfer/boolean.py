@@ -135,21 +135,12 @@ class BooleanFn:
         return float(f.table[idx])
 
 
-def fourier_transform(f: BooleanFn, direction: str = "both") -> BooleanFn:
-    """Populate the missing representation (or refresh both).
-
-    direction: "to-fourier", "to-table", or "both" (fill whatever is absent).
-    """
-    if direction not in ("to-fourier", "to-table", "both"):
-        raise ValueError(f"direction must be 'to-fourier', 'to-table' or 'both', not {direction!r}")
+def fourier_transform(f: BooleanFn) -> BooleanFn:
+    """``f`` with both representations: the absent one is computed."""
     table, coeffs = f.table, f.coeff_array
-    if direction == "to-fourier" and table is None:
-        raise ValueError("no table to transform")
-    if direction == "to-table" and coeffs is None:
-        raise ValueError("no coefficients to transform")
-    if direction != "to-table" and coeffs is None:
+    if coeffs is None:
         coeffs = fwht(table) / (1 << f.n)
-    if direction != "to-fourier" and table is None:
+    if table is None:
         table = fwht(coeffs)
     return BooleanFn(f.n, table=table, coeff_array=coeffs)
 

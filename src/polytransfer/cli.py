@@ -235,18 +235,19 @@ def _plot_values(model, pts):
 
 
 def _band_sampler(outer_lo, outer_hi, inner_lo, inner_hi):
-    """Uniform on the outer box minus the inner box, by rejection."""
+    """Uniform on the outer box minus the closed inner box, by rejection."""
     import numpy as np
 
     from . import dist
 
-    outer, inner = dist.UniformBox(outer_lo, outer_hi), dist.BoxSet(inner_lo, inner_hi)
+    outer = dist.UniformBox(outer_lo, outer_hi)
+    lo, hi = np.asarray(inner_lo, dtype=float), np.asarray(inner_hi, dtype=float)
 
     def sampler(n, seed):
         out, have = [], 0
         while have < n:
             pts = outer.sample(2 * n, seed, (Tag.BAND, Tag.ATTEMPT, len(out)))
-            out.append(pts[~inner.contains(pts)])
+            out.append(pts[~np.all((pts >= lo) & (pts <= hi), axis=1)])
             have += out[-1].shape[0]
         return np.concatenate(out)[:n]
 
@@ -518,7 +519,7 @@ def run_gotu(cfg: dict, out_dir: Path) -> int:
                                          cfg["gotu.scaling_horizon"], record_every=5)[0]
                for n_i in cfg["gotu.scaling_ns"] for s in range(cfg["gotu.scaling_seeds"])]
     (summary, trace), *rows = _in_workers([main] + scaling)
-    write_csv(out_dir / "trace.csv", ["t", "L_S", "L", "tau", "fhat_k"], list(trace.rows()))
+    write_csv(out_dir / "trace.csv", gotu.TRACE_COLUMNS, trace)
     write_csv(out_dir / "summary.csv", ["n", "L", "alpha", "seed", "t_star"], [summary, *rows])
     return 0
 
@@ -543,8 +544,7 @@ def run_icl_shift(cfg: dict, out_dir: Path) -> int:
     params, trace = icl.train_lsa(source, steps=cfg["icl.steps"],
                                   rate=cfg["icl.rate"], batch=cfg["icl.batch"],
                                   seed=cfg["seed"])
-    write_csv(out_dir / "train_trace.csv", ["step", "loss", "grad_norm"],
-              list(zip(trace.steps, trace.losses, trace.grad_norms)))
+    write_csv(out_dir / "train_trace.csv", icl.TRACE_COLUMNS, trace)
     targets = []
     for mu in cfg["icl.mus"]:
         mean = np.zeros(n)

@@ -129,18 +129,6 @@ class IntervalUnion:
         return out
 
 
-@dataclass(frozen=True)
-class BoxSet:
-    lo: tuple
-    hi: tuple
-
-    def contains(self, x):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        pts = _as_points(x, lo.size)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Density catalog
 # ---------------------------------------------------------------------------

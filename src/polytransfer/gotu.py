@@ -16,14 +16,15 @@ While tau stays below a threshold c0 the seen-to-unseen transfer inequality
 applies with a fixed coefficient; the first crossing time of c0 is the
 critical time t*.  The flow is explicit Euler with step halving whenever a
 step would increase the seen loss (the continuous flow is monotone, so
-monotonicity is the discretization fidelity criterion).
+monotonicity is the discretization fidelity criterion).  ``gradient_flow``
+returns (net, rows), each row a tuple named by ``TRACE_COLUMNS``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .rng import make_rng
 TAU_DENOM_FLOOR = 1e-18
 DEFAULT_C0 = 0.25
 DEFAULT_TIME_CONST = 1.0
+TRACE_COLUMNS = ("t", "L_S", "L", "tau", "fhat_k")   # one row of gradient_flow's trace
 
 
 @dataclass
@@ -144,38 +146,18 @@ def error_max_influence(net: DiagonalLinearNet, target: LinearTarget) -> float:
     return _max_influence(net.pi - target.coeffs)
 
 
-@dataclass
-class GOTUTrace:
-    """Recorded trajectory of the discretized flow."""
-
-    times: list = field(default_factory=list)
-    seen_loss: list = field(default_factory=list)
-    full_loss: list = field(default_factory=list)
-    tau: list = field(default_factory=list)
-    fhat_k: list = field(default_factory=list)
-
-    def append(self, t, l_s, l_full, tau_val, fhat):
-        self.times.append(t)
-        self.seen_loss.append(l_s)
-        self.full_loss.append(l_full)
-        self.tau.append(tau_val)
-        self.fhat_k.append(fhat)
-
-    def rows(self):
-        return zip(self.times, self.seen_loss, self.full_loss, self.tau, self.fhat_k)
-
-
 def gradient_flow(net: DiagonalLinearNet, target: LinearTarget, k: int,
                   step: float = 1e-3, horizon: float = 10.0,
-                  record_every: int = 10) -> tuple[DiagonalLinearNet, GOTUTrace]:
-    """Explicit Euler on the negative seen-loss gradient.
+                  record_every: int = 10) -> tuple[DiagonalLinearNet, list]:
+    """Explicit Euler on the negative seen-loss gradient; returns (net, rows).
 
     Halves the step whenever a step would increase L_S (and keeps the
-    halved step).  Records every ``record_every`` accepted steps.  The loop
-    carries the weights, the bias and pi = prod_l w_l as plain arrays;
-    the gradient of L_S is 2 (b - b* + delta_k) in the bias and
-    coeff * prod_{j != l} w_j in layer l, where coeff = 2 delta with entry
-    k replaced by 2 (b - b* + delta_k).
+    halved step).  Records a ``TRACE_COLUMNS`` row at the start, every
+    ``record_every`` accepted steps and at the end.  The loop carries the
+    weights, the bias and pi = prod_l w_l as plain arrays; the gradient of
+    L_S is 2 (b - b* + delta_k) in the bias and coeff * prod_{j != l} w_j
+    in layer l, where coeff = 2 delta with entry k replaced by
+    2 (b - b* + delta_k).
     """
     if step > 1e-2:
         raise ValueError("step must be <= 1e-2")
@@ -183,10 +165,9 @@ def gradient_flow(net: DiagonalLinearNet, target: LinearTarget, k: int,
     w, b = net.weights.copy(), net.bias
     pi = np.multiply.reduce(w, axis=0)
     delta = pi - c
-    trace = GOTUTrace()
     t = 0.0
     l_s, l_full = _losses(delta, b - b_star, k)
-    trace.append(t, l_s, l_full, _max_influence(delta), float(pi[k]))
+    rows = [(t, l_s, l_full, _max_influence(delta), float(pi[k]))]
     count = 0
     while t < horizon:
         e0 = b - b_star + delta[k]
@@ -211,26 +192,22 @@ def gradient_flow(net: DiagonalLinearNet, target: LinearTarget, k: int,
         l_s, l_full = new_ls, new_l
         count += 1
         if count % record_every == 0:
-            trace.append(t, l_s, l_full, _max_influence(delta), float(pi[k]))
-    trace.append(t, l_s, l_full, _max_influence(delta), float(pi[k]))
-    return DiagonalLinearNet(net.n, net.depth, b, w), trace
+            rows.append((t, l_s, l_full, _max_influence(delta), float(pi[k])))
+    rows.append((t, l_s, l_full, _max_influence(delta), float(pi[k])))
+    return DiagonalLinearNet(net.n, net.depth, b, w), rows
 
 
-def critical_time(trace: GOTUTrace, c0: float = DEFAULT_C0) -> float | None:
-    """First time tau(t) exceeds c0, linearly interpolated between records."""
-    times = trace.times
-    taus = trace.tau
-    for j, tau_j in enumerate(taus):
-        if math.isnan(tau_j):
-            continue
-        if tau_j > c0:
+def critical_time(rows, c0: float = DEFAULT_C0) -> float | None:
+    """First time tau(t) exceeds c0 in ``gradient_flow``'s rows, linearly
+    interpolated between records."""
+    for j, (t1, _, _, tau1, _) in enumerate(rows):
+        if tau1 > c0:   # False for a NaN tau
             if j == 0:
-                return times[0]
-            t0, t1 = times[j - 1], times[j]
-            tau0 = taus[j - 1]
-            if math.isnan(tau0) or tau_j == tau0:
                 return t1
-            frac = (c0 - tau0) / (tau_j - tau0)
+            t0, tau0 = rows[j - 1][0], rows[j - 1][3]
+            if math.isnan(tau0) or tau1 == tau0:
+                return t1
+            frac = (c0 - tau0) / (tau1 - tau0)
             return t0 + frac * (t1 - t0)
     return None
 

@@ -20,13 +20,14 @@ at fixed parameters is a nonnegative polynomial of total degree 10 in the
 prompt variables (x_1, ..., x_N, x_query, w), which is what makes the
 transfer coefficient catalog applicable to distribution shifts here.
 Training is mini-batch gradient descent on the Monte Carlo population loss
-with exact gradients of the closed form.
+with exact gradients of the closed form; ``train_lsa`` returns (params, rows),
+each row a tuple named by ``TRACE_COLUMNS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +42,15 @@ DEFAULT_SHIFT_EXPONENT = 10  # degree of the fixed-parameter loss polynomial
 # stay in a 2 MiB L2 cache.  8,192 takes ~1.5x as long; 2,048 runs as fast but peaks
 # 1 MiB higher next to the squares the shared pass holds for every target.
 POPULATION_BLOCK = 1024
+INIT_SCALE = 0.01    # train_lsa's initial parameters are N(0, INIT_SCALE^2)
+DIVERGENCE = 1e6     # train_lsa stops once a batch loss passes this
+TRACE_COLUMNS = ("step", "loss", "grad_norm")   # one row of train_lsa's trace
 
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, trace):
         super().__init__("training loss exceeded the divergence threshold")
-        self.trace = trace
+        self.trace = trace   # the TRACE_COLUMNS rows recorded so far
 
 
 @dataclass
@@ -105,7 +109,7 @@ class LSAParams:
         return LSAParams(np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1)), rho)
 
     @staticmethod
-    def random(n: int, rho: float, seed: int, scale: float = 0.01) -> "LSAParams":
+    def random(n: int, rho: float, seed: int, scale: float = INIT_SCALE) -> "LSAParams":
         rng = make_rng(seed)
         return LSAParams(scale * rng.standard_normal((n + 1, n + 1)),
                          scale * rng.standard_normal((n + 1, n + 1)), rho)
@@ -276,46 +280,34 @@ def loss_gradient(params: LSAParams, X, xq, W):
     return loss, grad_pv, grad_kq
 
 
-@dataclass
-class TrainTrace:
-    steps: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-
-    def append(self, step, loss, gnorm):
-        self.steps.append(step)
-        self.losses.append(loss)
-        self.grad_norms.append(gnorm)
-
-
 def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
-              batch: int = 256, seed: int = 0, init_scale: float = 0.01,
-              record_every: int = 100, divergence: float = 1e6):
+              batch: int = 256, seed: int = 0, record_every: int = 100):
     """Mini-batch gradient descent on the population loss.
 
-    Returns (params, trace).  Step i trains on the i-th ``batch`` prompts of
-    one stream, ``_sample_batch(pd, steps * batch, seed, (Tag.STEP,))``,
-    drawn a batch at a time; the final loss is estimated at ``(Tag.FINAL,)``,
-    a path no training draw reaches.  Gaussian feature distributions are the
-    recommended (not enforced) setting for convergence.  Aborts when the
-    loss passes the divergence threshold.
+    Returns (params, rows): a ``TRACE_COLUMNS`` row every ``record_every``
+    steps, then (steps, final loss, 0.0).  Step i trains on the i-th
+    ``batch`` prompts of one stream, ``_sample_batch(pd, steps * batch,
+    seed, (Tag.STEP,))``, drawn a batch at a time; the final loss is
+    estimated at ``(Tag.FINAL,)``, a path no training draw reaches.
+    Gaussian feature distributions are the recommended (not enforced)
+    setting for convergence.  Aborts when a loss passes ``DIVERGENCE``.
     """
     n = pd.dim
-    params = LSAParams.random(n, float(pd.length), seed, init_scale)
-    trace = TrainTrace()
+    params = LSAParams.random(n, float(pd.length), seed, INIT_SCALE)
+    rows = []
     prompts = _prompt_blocks([pd], steps * batch, seed, (Tag.STEP,), batch)
     for step, [(X, xq, W)] in enumerate(prompts):
         loss, g_pv, g_kq = loss_gradient(params, X, xq, W)
-        if not math.isfinite(loss) or loss > divergence:
-            raise TrainingDivergedError(trace)
+        if not math.isfinite(loss) or loss > DIVERGENCE:
+            raise TrainingDivergedError(rows)
         gnorm = math.sqrt(float(np.sum(g_pv ** 2) + np.sum(g_kq ** 2)))
         if step % record_every == 0:
-            trace.append(step, loss, gnorm)
+            rows.append((step, loss, gnorm))
         params.w_pv -= rate * g_pv
         params.w_kq -= rate * g_kq
     final = population_loss(pd, params, McSpec(max(4096, batch), seed, (Tag.FINAL,)))
-    trace.append(steps, final.value, 0.0)
-    return params, trace
+    rows.append((steps, final.value, 0.0))
+    return params, rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Used by the extrapolation comparison experiments: a 6-hidden-layer,
 110-unit network (five layers of 20 plus one of 10) on 2-D inputs with a
 scalar output, trained on mean squared error.  Activations are ReLU or the
-cubic polynomial sigma(x) = 3x^2 - 2x^3.
+cubic polynomial sigma(x) = 3x^2 - 2x^3.  ``train_adagrad`` returns
+(model, rows), each row a tuple named by ``TRACE_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ RELU = "relu"
 POLY = "poly"
 DEFAULT_SIZES = (2, 20, 20, 20, 20, 20, 10, 1)
 ADAGRAD_EPS = 1e-8
+TRACE_COLUMNS = ("epoch", "loss")   # one row of train_adagrad's trace
 _FORWARD_ROWS = 1024  # rows per block in forward
 
 
@@ -123,12 +125,12 @@ def backprop(m: MLP, X, y, out=None):
 
 
 def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
-                  batch_size: int = 64, eps: float = ADAGRAD_EPS,
-                  divergence: float = 1e8):
-    """Mini-batch AdaGrad on the MSE objective; returns (model, loss trace).
+                  batch_size: int = 64, divergence: float = 1e8):
+    """Mini-batch AdaGrad on the MSE objective; returns (model, rows).
 
-    Per-parameter scaling by accumulated squared gradients; the trace holds
-    one mean training loss per epoch; epoch i shuffles at ``(Tag.EPOCH, i)``.
+    Per-parameter scaling by accumulated squared gradients; one
+    ``TRACE_COLUMNS`` row (epoch, mean batch loss) per epoch; epoch i
+    shuffles at ``(Tag.EPOCH, i)``.
     A diverged batch raises :class:`DivergenceError` carrying its model.
     """
     X = np.asarray(X, dtype=float)
@@ -161,8 +163,8 @@ def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
             epoch_losses.append(loss)
             # theta -= rate * g / sqrt(acc + eps), with acc += g ** 2 first
             acc += np.multiply(grad, grad, out=den)
-            np.sqrt(np.add(acc, eps, out=den), out=den)
+            np.sqrt(np.add(acc, ADAGRAD_EPS, out=den), out=den)
             np.multiply(grad, rate, out=grad)
             theta -= np.divide(grad, den, out=grad)
-        trace.append(float(np.mean(epoch_losses)))
+        trace.append((epoch, float(np.mean(epoch_losses))))
     return m, trace

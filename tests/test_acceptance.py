@@ -68,7 +68,7 @@ def test_03_boolean_exactness():
         table = rng.standard_normal(1 << n)
         f = boolean.fourier_transform(boolean.BooleanFn(n, table=table))
         back = boolean.fourier_transform(
-            boolean.BooleanFn(n, coeff_array=f.coeff_array), "to-table")
+            boolean.BooleanFn(n, coeff_array=f.coeff_array))
         worst_round = max(worst_round, float(np.max(np.abs(back.table - table))))
         worst_parseval = max(worst_parseval, abs(
             float(np.sum(f.coeff_array ** 2)) - float(np.mean(table ** 2))))
@@ -235,12 +235,12 @@ def test_08_gotu_critical_time():
     target = gotu.LinearTarget(0.0, np.eye(n)[k])
     net = gotu.init_weights(n, 2, 0.05, 0)
     _, trace = gotu.gradient_flow(net, target, k, step=1e-3, horizon=20.0)
-    seen_ok = trace.seen_loss[-1] <= 1e-4
-    fhat_ok = max(abs(v) for v in trace.fhat_k) <= 0.1
+    seen_ok = trace[-1][1] <= 1e-4
+    fhat_ok = max(abs(row[4]) for row in trace) <= 0.1
     t_star = gotu.critical_time(trace, c0)
     t_star_ok = t_star is not None and math.isfinite(t_star)
     ratio_ok = all(l_full <= coeff * l_s
-                   for t, l_s, l_full, _, _ in trace.rows()
+                   for t, l_s, l_full, _, _ in trace
                    if t_star is not None and t < t_star and l_s > 1e-250)
 
     # spread-coefficient target: tau(0) ~ 1/n < c0, so the crossing is
@@ -261,7 +261,7 @@ def test_08_gotu_critical_time():
             if ts is None:
                 pre_cross_ok = False
                 continue
-            for t, l_s, l_full, _, _ in tr.rows():
+            for t, l_s, l_full, _, _ in tr:
                 if t < ts and l_s > 1e-250 and l_full > coeff * l_s:
                     pre_cross_ok = False
         medians.append(float(np.median([s for s in stars if s is not None])))
@@ -271,7 +271,7 @@ def test_08_gotu_critical_time():
     ok = (seen_ok and fhat_ok and t_star_ok and ratio_ok and pre_cross_ok
           and slope_ok and elapsed < 120.0)
     report(8, "gotu-critical-time", ok,
-           f"L_S(T)={trace.seen_loss[-1]:.1e}, t*={t_star}, medians "
+           f"L_S(T)={trace[-1][1]:.1e}, t*={t_star}, medians "
            f"{[f'{m:.2f}' for m in medians]}, slope {slope:.3f}, {elapsed:.0f}s")
     assert seen_ok and fhat_ok and t_star_ok and ratio_ok
     assert pre_cross_ok, "transfer ratio exceeded the recorded constant before t*"

@@ -141,11 +141,6 @@ class TestTransform:
         rhs = float(np.mean(f.table ** 2))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_unknown_direction_rejected(self):
-        f = boolean.BooleanFn.from_fourier(3, {1: 1.0})
-        with pytest.raises(ValueError, match="'to-fourier', 'to-table' or 'both'"):
-            boolean.fourier_transform(f, "to_table")
-
     def test_size_cap(self):
         with pytest.raises(boolean.EnumerationTooLargeError):
             boolean.BooleanFn(25, table=None, coeff_array=None)
@@ -355,5 +350,5 @@ def test_round_trip_property(n, seed):
     table = rng.standard_normal(1 << n)
     f = boolean.fourier_transform(boolean.BooleanFn(n, table=table))
     back = boolean.fourier_transform(
-        boolean.BooleanFn(n, coeff_array=f.coeff_array), "to-table")
+        boolean.BooleanFn(n, coeff_array=f.coeff_array))
     np.testing.assert_allclose(back.table, table, atol=1e-12)

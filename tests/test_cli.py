@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import polytransfer
-from polytransfer import cli, heatmap
+from polytransfer import cli, gotu, heatmap, icl
 from polytransfer.heatmap import Heatmap, emit_svg_heatmap, grid_eval
 
 
@@ -651,6 +651,33 @@ class TestStreamAudit:
             assert set(undeclared) == keys
             for a, b in undeclared.values():   # the same frames but for the caller's line
                 assert {fa[:2] for fa, fb in zip(a, b) if fa != fb} == {caller}
+
+
+class TestTraceFiles:
+    """A trace file's header is its loop's ``TRACE_COLUMNS``, and its cells
+    parse back to the rows the loop returned."""
+
+    @pytest.mark.parametrize("experiment, name, module, loop", [
+        ("gotu", "trace.csv", gotu, "gradient_flow"),
+        ("icl-shift", "train_trace.csv", icl, "train_lsa")], ids=["gotu", "icl-shift"])
+    def test_header_and_rows(self, tmp_path, monkeypatch, experiment, name, module, loop):
+        use_cpus(monkeypatch, 1)   # every flow runs here, the traced one first
+        real, returned = getattr(module, loop), []
+
+        def recording(*args, **kwargs):
+            state, rows = real(*args, **kwargs)
+            returned.append(rows)
+            return state, rows
+
+        monkeypatch.setattr(module, loop, recording)
+        out = tmp_path / "run"
+        run_config(tmp_path, f"experiment = {experiment}\nout = {out}\n" + SMALL_RUNS[experiment])
+        with open(out / name, newline="") as fh:
+            header, *cells = csv.reader(fh)
+        assert tuple(header) == module.TRACE_COLUMNS
+        parsed = [[float(v) for v in row] for row in cells]
+        assert len(parsed) > 1
+        np.testing.assert_array_equal(np.array(parsed), np.array(returned[0], dtype=float))
 
 
 def throw(error):

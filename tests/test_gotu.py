@@ -140,13 +140,13 @@ class TestGradientFlow:
         w[:, k] = 1.0
         net = gotu.DiagonalLinearNet(n, 2, 0.0, w)
         _, trace = gotu.gradient_flow(net, target, k, step=1e-3, horizon=0.05)
-        assert max(trace.seen_loss) == pytest.approx(0.0, abs=1e-15)
+        assert max(row[1] for row in trace) == pytest.approx(0.0, abs=1e-15)
 
     def test_seen_loss_monotone(self):
         net = gotu.init_weights(20, 2, 0.25, 3)
         target = gotu.LinearTarget(0.0, np.ones(20))
         _, trace = gotu.gradient_flow(net, target, 0, step=1e-3, horizon=3.0)
-        diffs = np.diff(trace.seen_loss)
+        diffs = np.diff([row[1] for row in trace])
         assert np.all(diffs <= 1e-9)
 
     def test_step_size_validated(self):
@@ -170,8 +170,8 @@ class TestGradientFlow:
         net = gotu.init_weights(n, 2, 0.05, 0)
         _, trace = gotu.gradient_flow(net, target_single(n, k), k,
                                       step=1e-3, horizon=20.0)
-        assert trace.seen_loss[-1] <= 1e-4
-        assert max(abs(v) for v in trace.fhat_k) <= 0.1
+        assert trace[-1][1] <= 1e-4
+        assert max(abs(row[4]) for row in trace) <= 0.1
 
     def test_mc_checkpoints_match_closed_form(self):
         n, k = 12, 0
@@ -200,16 +200,12 @@ class TestGradientFlow:
 
 class TestCriticalTime:
     def test_no_crossing_returns_none(self):
-        trace = gotu.GOTUTrace()
-        for t in np.linspace(0, 1, 5):
-            trace.append(t, 1.0, 1.0, 0.1, 0.0)
-        assert gotu.critical_time(trace, 0.25) is None
+        rows = [(t, 1.0, 1.0, 0.1, 0.0) for t in np.linspace(0, 1, 5)]
+        assert gotu.critical_time(rows, 0.25) is None
 
     def test_interpolated_crossing(self):
-        trace = gotu.GOTUTrace()
-        trace.append(0.0, 1.0, 1.0, 0.1, 0.0)
-        trace.append(1.0, 1.0, 1.0, 0.3, 0.0)
-        t = gotu.critical_time(trace, 0.25)
+        rows = [(0.0, 1.0, 1.0, 0.1, 0.0), (1.0, 1.0, 1.0, 0.3, 0.0)]
+        t = gotu.critical_time(rows, 0.25)
         assert t == pytest.approx(0.75)
 
     def test_spread_target_crossing_and_pre_crossing_transfer(self):
@@ -218,11 +214,11 @@ class TestCriticalTime:
         net = gotu.init_weights(n, 2, 0.25, 7)
         _, trace = gotu.gradient_flow(net, target, k, step=1e-3, horizon=8.0,
                                       record_every=5)
-        assert trace.tau[0] < 0.25  # spread coefficients start low-influence
+        assert trace[0][3] < 0.25  # spread coefficients start low-influence
         t_star = gotu.critical_time(trace, 0.25)
         assert t_star is not None and t_star > 0
         coeff = gotu.transfer_threshold_coefficient(mass=0.5, k_d=1.0)
-        for t, l_s, l_full, tau, _ in trace.rows():
+        for t, l_s, l_full, tau, _ in trace:
             if t < t_star and l_s > 1e-250:
                 assert l_full <= coeff * l_s
 
@@ -231,7 +227,7 @@ class TestCriticalTime:
         target = gotu.LinearTarget(0.0, np.ones(n))
         net = gotu.init_weights(n, 2, 0.25, 8)
         _, trace = gotu.gradient_flow(net, target, k, step=1e-3, horizon=10.0)
-        assert trace.tau[-1] > 0.9
+        assert trace[-1][3] > 0.9
 
 
 def _reference_flow(net, target, k, step, horizon, record_every=10):
@@ -299,11 +295,11 @@ class TestFlowMatchesReference:
         net = gotu.init_weights(n, depth, alpha, 3)
         ref_net, ref_rows = _reference_flow(net, target, k, step, horizon)
         got_net, trace = gotu.gradient_flow(net, target, k, step=step, horizon=horizon)
-        np.testing.assert_array_equal(np.array(list(trace.rows())), np.array(ref_rows))
+        np.testing.assert_array_equal(np.array(trace), np.array(ref_rows))
         np.testing.assert_array_equal(got_net.weights, ref_net.weights)
         assert got_net.bias == ref_net.bias
         # the halving cases take more accepted steps than horizon / step
-        assert (len(trace.times) > horizon / step / 10 + 2) == halves
+        assert (len(trace) > horizon / step / 10 + 2) == halves
 
     def test_deeper_net_close_to_reference(self):
         # depth 4 multiplies the cofactors in a different order: equal to rounding
@@ -313,5 +309,5 @@ class TestFlowMatchesReference:
         ref_net, ref_rows = _reference_flow(net, target, k, 1e-3, 0.5)
         got_net, trace = gotu.gradient_flow(net, target, k, step=1e-3, horizon=0.5)
         np.testing.assert_allclose(got_net.weights, ref_net.weights, rtol=1e-12)
-        np.testing.assert_allclose(np.array(list(trace.rows())), np.array(ref_rows),
+        np.testing.assert_allclose(np.array(trace), np.array(ref_rows),
                                    rtol=1e-10)

@@ -317,9 +317,9 @@ class TestTraining:
         expected = [icl.loss_gradient(params, X[s:s + batch], xq[s:s + batch],
                                       W[s:s + batch])[0]
                     for s in range(0, steps * batch, batch)]
-        assert trace.losses[:steps] == expected
+        assert [loss for _, loss, _ in trace[:steps]] == expected
         final = icl.population_loss(pd, params, McSpec(4096, seed, (Tag.FINAL,)))
-        assert trace.losses[-1] == final.value
+        assert trace[-1][1] == final.value
 
     @pytest.mark.parametrize("steps", [3, 4])
     def test_final_loss_reads_no_training_stream(self, monkeypatch, steps):
@@ -364,7 +364,7 @@ class TestTraining:
     def test_short_training_decreases_loss(self):
         pd = icl.PromptDistribution.gaussian(1, 10)
         params, trace = icl.train_lsa(pd, steps=600, rate=1e-2, batch=128, seed=0)
-        assert trace.losses[-1] < trace.losses[0]
+        assert trace[-1][1] < trace[0][1]
 
     def test_divergence_aborts_with_trace(self):
         pd = icl.PromptDistribution.gaussian(2, 4)

@@ -138,7 +138,7 @@ class TestAdagrad:
         y = np.full(512, 0.7)
         m = nets.mlp_init((2, 8, 1), nets.RELU, seed=6)
         m, trace = nets.train_adagrad(m, X, y, epochs=600, rate=0.3, seed=7)
-        assert trace[-1] <= 1e-6
+        assert trace[-1][1] <= 1e-6
 
     def test_zero_rate_no_update(self):
         rng = np.random.default_rng(8)
@@ -182,8 +182,7 @@ def reference_backprop(m, X, y):
     return loss, grads_w, grads_b
 
 
-def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64,
-                      eps=nets.ADAGRAD_EPS, divergence=1e8):
+def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64, divergence=1e8):
     """The per-layer AdaGrad loop on gathered batches and the allocating
     backprop, which the flat-buffer update replaced."""
     m = m.copy()
@@ -203,9 +202,9 @@ def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64,
             for i in range(len(m.weights)):
                 acc_w[i] += gw[i] ** 2
                 acc_b[i] += gb[i] ** 2
-                m.weights[i] -= rate * gw[i] / np.sqrt(acc_w[i] + eps)
-                m.biases[i] -= rate * gb[i] / np.sqrt(acc_b[i] + eps)
-        trace.append(float(np.mean(epoch_losses)))
+                m.weights[i] -= rate * gw[i] / np.sqrt(acc_w[i] + nets.ADAGRAD_EPS)
+                m.biases[i] -= rate * gb[i] / np.sqrt(acc_b[i] + nets.ADAGRAD_EPS)
+        trace.append((epoch, float(np.mean(epoch_losses))))
     return m, trace
 
 
