@@ -395,7 +395,7 @@ def run_gaussian1d_coeffs(cfg: dict, out_dir: Path) -> int:
     for mu in cfg["gaussian1d.mus"]:
         bridge, coeff = transfer.catalog_coefficient("gaussian1d", d, mu=mu)
         p = dist.Gaussian([0.0], [[1.0]])
-        res = dist.density_ratio_sup(p, bridge, details=True) if mu else None
+        res = dist.density_ratio_sup(p, bridge) if mu else None
         numeric = res.value if mu else 1.0
         box_lo = float(res.box_lo[0]) if mu else float("nan")
         box_hi = float(res.box_hi[0]) if mu else float("nan")

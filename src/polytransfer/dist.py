@@ -479,8 +479,8 @@ def _eval_ratio_on_grid(P, Q, axes):
     return float(ratio[i]), pts[i]
 
 
-def density_ratio_sup(P: Density, Q: Density, points_per_dim: int | None = None,
-                      details: bool = False):
+def density_ratio_sup(P: Density, Q: Density,
+                      points_per_dim: int | None = None) -> RatioSupResult:
     """sup_x P(x)/Q(x) over an adaptive grid (one refinement pass).
 
     The grid has ``points_per_dim`` points per axis (a default by dimension
@@ -497,8 +497,7 @@ def density_ratio_sup(P: Density, Q: Density, points_per_dim: int | None = None,
             value = float(np.prod(Q.hi - Q.lo) / np.prod(P.hi - P.lo))
         else:
             value = math.inf
-        res = RatioSupResult(value, P.lo, P.hi, None)
-        return res if details else res.value
+        return RatioSupResult(value, P.lo, P.hi, None)
 
     plo, phi = P.bounding_box()
     qlo, qhi = Q.bounding_box()
@@ -519,8 +518,7 @@ def density_ratio_sup(P: Density, Q: Density, points_per_dim: int | None = None,
         best2, arg2 = _eval_ratio_on_grid(P, Q, fine)
         if best2 > best:
             best, arg = best2, arg2
-    res = RatioSupResult(best, lo, hi, arg)
-    return res if details else res.value
+    return RatioSupResult(best, lo, hi, arg)
 
 
 def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
@@ -538,8 +536,7 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
     if P is Q:
         return McEstimate(1.0, 0.0)
     if math.isinf(alpha):
-        val = density_ratio_sup(P, Q, points_per_dim)
-        return McEstimate(float(val), 0.0)
+        return McEstimate(float(density_ratio_sup(P, Q, points_per_dim)), 0.0)
     x = Q.sample(mc.n_samples, mc.seed, mc.path)
     p, q = P._pdf(x), Q._pdf(x)
     bad = (p > 0) & (q == 0)

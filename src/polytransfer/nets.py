@@ -20,6 +20,7 @@ RELU = "relu"
 POLY = "poly"
 DEFAULT_SIZES = (2, 20, 20, 20, 20, 20, 10, 1)
 ADAGRAD_EPS = 1e-8
+DIVERGENCE = 1e8      # train_adagrad stops once a batch loss passes this
 TRACE_COLUMNS = ("epoch", "loss")   # one row of train_adagrad's trace
 _FORWARD_ROWS = 1024  # rows per block in forward
 
@@ -125,13 +126,14 @@ def backprop(m: MLP, X, y, out=None):
 
 
 def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
-                  batch_size: int = 64, divergence: float = 1e8):
+                  batch_size: int = 64):
     """Mini-batch AdaGrad on the MSE objective; returns (model, rows).
 
     Per-parameter scaling by accumulated squared gradients; one
     ``TRACE_COLUMNS`` row (epoch, mean batch loss) per epoch; epoch i
     shuffles at ``(Tag.EPOCH, i)``.
-    A diverged batch raises :class:`DivergenceError` carrying its model.
+    A batch loss past ``DIVERGENCE`` raises :class:`DivergenceError`
+    carrying its model.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -158,7 +160,7 @@ def train_adagrad(m: MLP, X, y, epochs: int, rate: float, seed: int = 0,
         for start in range(0, n, batch_size):
             rows = slice(start, start + batch_size)
             loss = backprop(m, Xo[rows], yo[rows], out=grads)[0]
-            if not math.isfinite(loss) or loss > divergence:
+            if not math.isfinite(loss) or loss > DIVERGENCE:
                 raise DivergenceError(f"loss {loss} at epoch {epoch}", m)
             epoch_losses.append(loss)
             # theta -= rate * g / sqrt(acc + eps), with acc += g ** 2 first

@@ -93,7 +93,7 @@ class TestKernelsMatchReferences:
         ref_inf, ref_tau = ref_influences(c)
         assert np.array_equal(inf, ref_inf) and tau == ref_tau
         assert np.array_equal(f.coeff_array, c)  # the i = n - 1 half is a view
-        assert boolean.total_influence(f) == ref_total_influence(c)
+        assert float(inf.sum()) == pytest.approx(ref_total_influence(c), rel=1e-12)
 
     @given(sparse_arrays)
     @settings(max_examples=60, deadline=None)
@@ -101,25 +101,36 @@ class TestKernelsMatchReferences:
         c = draw_array(*case)
         assert boolean.BooleanFn(case[0], coeff_array=c).degree == ref_degree(c)
 
-    @given(st.integers(1, 12))
-    @settings(max_examples=12, deadline=None)
-    def test_frozen_coordinate_indicator(self, n):
-        for index in range(n):
-            for value in (-1, 1):
-                ind = boolean.FrozenCoordinateSet(index, value).indicator(n)
-                assert ind.dtype == bool
-                assert np.array_equal(ind, ref_indicator(n, index, value))
+    @given(sparse_arrays)
+    @settings(max_examples=60, deadline=None)
+    def test_conditional_moments(self, case):
+        """The closed forms against enumerating the value table on the
+        subcube; a table-held f gives the same tuple as its twin."""
+        n = case[0]
+        c = draw_array(*case)
+        held = boolean.BooleanFn(n, coeff_array=c)
+        t = boolean.fourier_transform(held).table
+        twin = boolean.BooleanFn(n, table=t)
+        for k in range(n):
+            for v in (-1, 1):
+                seen = boolean.FrozenCoordinateSet(k, v)
+                sel = t[ref_indicator(n, k, v)]
+                expected = (np.mean(sel), np.mean(sel * sel), np.mean(t), np.mean(t * t))
+                got = boolean.conditional_moments(held, seen)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                assert boolean.conditional_moments(twin, seen) == pytest.approx(
+                    got, rel=1e-12, abs=1e-12)
 
 
 class TestTransform:
     def test_single_coordinate(self):
-        f = boolean.BooleanFn.from_table(boolean.points(2)[:, 0])
-        coeffs = f.fourier
-        assert coeffs == {1: pytest.approx(1.0)}
+        # x_0 = 1 - 2 * bit_0(b) on the four points of {-1, 1}^2
+        f = boolean.fourier_transform(boolean.BooleanFn(2, table=[1.0, -1.0, 1.0, -1.0]))
+        assert f.coeff_array.tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_constant(self):
-        f = boolean.BooleanFn.from_table(np.ones(8))
-        assert f.fourier == {0: pytest.approx(1.0)}
+        f = boolean.fourier_transform(boolean.BooleanFn(3, table=np.ones(8)))
+        assert f.coeff_array.tolist() == [1.0] + [0.0] * 7
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(0)
@@ -146,10 +157,11 @@ class TestTransform:
             boolean.BooleanFn(25, table=None, coeff_array=None)
 
     def test_eval_matches_table_convention(self):
-        f = boolean.BooleanFn.from_fourier(3, {0b101: 2.0})
-        assert f.eval([1.0, 1.0, 1.0]) == pytest.approx(2.0)
-        assert f.eval([-1.0, 1.0, 1.0]) == pytest.approx(-2.0)
-        assert f.eval([-1.0, 1.0, -1.0]) == pytest.approx(2.0)
+        # 2 x_0 x_2, at the points whose set bits mark the -1 coordinates
+        table = boolean.fourier_transform(boolean.BooleanFn.from_fourier(3, {0b101: 2.0})).table
+        assert table[0b000] == pytest.approx(2.0)
+        assert table[0b001] == pytest.approx(-2.0)
+        assert table[0b101] == pytest.approx(2.0)
 
 
 class TestInfluences:
@@ -179,10 +191,10 @@ class TestInfluences:
 
     def test_total_influence_identity(self):
         rng = np.random.default_rng(4)
-        f = boolean.fourier_transform(random_fn(8, rng))
-        total = boolean.total_influence(f)
-        expected = sum(int(s).bit_count() * c * c for s, c in f.fourier.items())
-        assert total == pytest.approx(expected, rel=1e-12)
+        c = boolean.fourier_transform(random_fn(8, rng)).coeff_array
+        inf, _ = boolean.influences(boolean.BooleanFn(8, coeff_array=c))
+        expected = sum(int(s).bit_count() * c[s] ** 2 for s in range(c.size))
+        assert float(inf.sum()) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNormalizeVariance:
@@ -190,7 +202,7 @@ class TestNormalizeVariance:
         f = boolean.BooleanFn.from_fourier(2, {1: 2.0})
         g, scale = boolean.normalize_variance(f)
         assert scale == pytest.approx(0.5)
-        assert g.fourier[1] == pytest.approx(1.0)
+        assert g.coeff_array[1] == pytest.approx(1.0)
 
     def test_already_normalized(self):
         f = boolean.BooleanFn.from_fourier(2, {1: 1.0})
@@ -201,8 +213,8 @@ class TestNormalizeVariance:
         f = boolean.BooleanFn.from_fourier(3, {1: 3.0, 2: 4.0})
         g, scale = boolean.normalize_variance(f)
         assert scale == pytest.approx(0.2)
-        assert g.fourier[1] == pytest.approx(0.6)
-        assert g.fourier[2] == pytest.approx(0.8)
+        assert g.coeff_array[1] == pytest.approx(0.6)
+        assert g.coeff_array[2] == pytest.approx(0.8)
 
     def test_constant_rejected(self):
         f = boolean.BooleanFn.from_fourier(2, {0: 5.0})
@@ -212,7 +224,7 @@ class TestNormalizeVariance:
     def test_constant_part_unchanged(self):
         f = boolean.BooleanFn.from_fourier(2, {0: 7.0, 1: 2.0})
         g, _ = boolean.normalize_variance(f)
-        assert g.fourier[0] == pytest.approx(7.0)
+        assert g.coeff_array[0] == pytest.approx(7.0)
 
 
 class TestInvarianceGap:
@@ -265,15 +277,11 @@ class TestConditionalMoments:
         assert e_p == pytest.approx(mean, abs=1e-12)
         assert e_p2 == pytest.approx(second, abs=1e-12)
 
-    def test_bitmask_seen_set(self):
-        f = boolean.BooleanFn.from_fourier(3, {1: 1.0})
-        ind = np.zeros(8, dtype=bool)
-        ind[[0, 3, 5]] = True
-        seen = boolean.BitmaskSet.from_indicator(ind)
-        assert seen.mass(3) == pytest.approx(3 / 8)
-        e_p, _, _, _ = boolean.conditional_moments(f, seen)
-        table = boolean.fourier_transform(f).table
-        assert e_p == pytest.approx(float(np.mean(table[[0, 3, 5]])))
+    def test_index_out_of_range(self):
+        n = boolean.MAX_N
+        f = boolean.BooleanFn.from_fourier(n, {1: 1.0})
+        with pytest.raises(ValueError):
+            boolean.conditional_moments(f, boolean.FrozenCoordinateSet(n, 1))
 
 
 class TestTransferReport:
@@ -315,13 +323,18 @@ class TestTransferReport:
         assert rep.satisfied
         assert rep.coefficient == pytest.approx(4.0)
 
-    def test_dictator_at_max_n(self):
+    def test_dictator_at_max_n(self, monkeypatch):
+        # a coefficient-held f is reported without a transform or a value table
+        def no_fwht(values):
+            raise AssertionError("fwht called")
+        monkeypatch.setattr(boolean, "fwht", no_fwht)
         f = boolean.BooleanFn.from_fourier(boolean.MAX_N, {1: 1.0})
         rep = boolean.transfer_report(f, boolean.FrozenCoordinateSet(0, 1))
-        assert (rep.degree, rep.tau, rep.mass) == (1, 1.0, 0.5)
-        assert (rep.lhs, rep.source_moment) == (1.0, 1.0)
+        assert rep == boolean.BooleanTransferReport(
+            degree=1, tau=1.0, mass=0.5, gap=1.0, c_gap=1.0, k_d=1.0,
+            condition_holds=False, lhs=1.0, source_moment=1.0, coefficient=4.0,
+            satisfied=None)
         assert rep.condition_holds is False
-        assert rep.satisfied is None
 
     def test_unnormalized_rejected(self):
         f = boolean.BooleanFn.from_fourier(4, {1: 2.0})

@@ -182,7 +182,7 @@ def reference_backprop(m, X, y):
     return loss, grads_w, grads_b
 
 
-def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64, divergence=1e8):
+def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64):
     """The per-layer AdaGrad loop on gathered batches and the allocating
     backprop, which the flat-buffer update replaced."""
     m = m.copy()
@@ -196,7 +196,7 @@ def adagrad_per_layer(m, X, y, epochs, rate, seed=0, batch_size=64, divergence=1
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             loss, gw, gb = reference_backprop(m, X[idx], y[idx])
-            if not math.isfinite(loss) or loss > divergence:
+            if not math.isfinite(loss) or loss > nets.DIVERGENCE:
                 raise nets.DivergenceError(f"loss {loss} at epoch {epoch}", m)
             epoch_losses.append(loss)
             for i in range(len(m.weights)):
@@ -260,12 +260,13 @@ class TestFlatAdagrad:
         assert same_params(got, ref)
         assert same_params(m, before)   # the input model is not updated
 
-    def test_divergence_still_raised(self):
+    def test_divergence_still_raised(self, monkeypatch):
+        monkeypatch.setattr(nets, "DIVERGENCE", 1e3)
         X, y = self.data()
         m = nets.mlp_init(nets.DEFAULT_SIZES, nets.POLY, seed=12, init_scale=0.5)
         with pytest.raises(nets.DivergenceError) as got:
-            nets.train_adagrad(m, X, y, epochs=20, rate=1.0, seed=13, divergence=1e3)
+            nets.train_adagrad(m, X, y, epochs=20, rate=1.0, seed=13)
         with pytest.raises(nets.DivergenceError) as ref:
-            adagrad_per_layer(m, X, y, epochs=20, rate=1.0, seed=13, divergence=1e3)
+            adagrad_per_layer(m, X, y, epochs=20, rate=1.0, seed=13)
         assert str(got.value) == str(ref.value)
         assert same_params(got.value.model, ref.value.model)   # the failing batch's weights

@@ -150,8 +150,8 @@ class TestCatalogCoefficient:
             # grid sups agree with the closed form within 1%
             p = dist.Gaussian([0.0], [[1.0]])
             q = dist.Gaussian([mu], [[1.0]])
-            sp = dist.density_ratio_sup(p, bridge)
-            sq = dist.density_ratio_sup(q, bridge)
+            sp = dist.density_ratio_sup(p, bridge).value
+            sq = dist.density_ratio_sup(q, bridge).value
             assert sp * sq == pytest.approx(coeff, rel=0.02)
 
     def test_nd_scaling_with_mean_norm(self):
@@ -171,8 +171,8 @@ class TestCatalogCoefficient:
         bridge, coeff = transfer.catalog_coefficient("gaussianNd", 1, mu=mu)
         p = dist.Gaussian(np.zeros(2), np.eye(2))
         q = dist.Gaussian(mu, np.eye(2))
-        sp = dist.density_ratio_sup(p, bridge, 161)
-        sq = dist.density_ratio_sup(q, bridge, 161)
+        sp = dist.density_ratio_sup(p, bridge, 161).value
+        sq = dist.density_ratio_sup(q, bridge, 161).value
         assert sp * sq == pytest.approx(coeff, rel=0.05)
 
     def test_quadratic_growth_in_asymptotic_regime(self):
