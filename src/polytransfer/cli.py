@@ -8,10 +8,11 @@ dotted prefixes for experiment-specific sections::
     out = runs/fig1
     fig1.n_samples = 10000
 
-Unknown keys are rejected.  Every run writes a resolved copy of its full
-configuration next to the outputs, and a rerun from that copy reproduces
-the CSVs byte for byte (all randomness flows from the single seed).
-The output root can be overridden with the POLYTRANSFER_OUT env var.
+Unknown and repeated keys are rejected.  Every run writes a resolved copy
+of its full configuration next to the outputs, and a rerun from that copy
+reproduces the CSVs byte for byte (all randomness flows from the single
+seed).  The POLYTRANSFER_OUT env var prefixes a relative ``out``; with an
+absolute ``out`` it is a config error.
 
 Each runner imports the modules it uses, numpy among them: a process loads
 (and, without cached bytecode, compiles) only the code its run needs.  So
@@ -64,15 +65,17 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str) -> dict:
-    out = {}
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"duplicate key {key!r} on lines {seen[key]} and {lineno}")
+        out[key], seen[key] = value, lineno
     return out
 
 
@@ -158,6 +161,8 @@ def _out_dir(cfg: dict) -> Path:
     root = os.environ.get("POLYTRANSFER_OUT")
     out = Path(cfg["out"])
     if root:
+        if out.is_absolute():
+            raise ConfigError(f"POLYTRANSFER_OUT={root!r} cannot prefix the absolute out = {out}")
         out = Path(root) / out
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -315,7 +320,7 @@ def run_figure(cfg: dict, out_dir: Path, *, prefix: str, f_star, seen_lo, seen_h
         if name == "poly20":
             model = fit_extrapolating_poly(X, y, degree, seen_lo, seen_hi, band_lo, band_hi,
                                            ridge=cfg[f"{prefix}.ridge"],
-                                           band_penalty=cfg[f"{prefix}.band_penalty"]).poly.eval
+                                           band_penalty=cfg[f"{prefix}.band_penalty"]).eval
         elif name == "relu_net":
             model, line = train(name, nets.RELU, 0, cfg[f"{prefix}.epochs"], cfg[f"{prefix}.rate"])
         elif name == "poly_net":

@@ -453,9 +453,6 @@ class RatioSupResult:
     box_hi: np.ndarray
     argmax: np.ndarray | None
 
-    def __float__(self):
-        return self.value
-
 
 def _default_points(dim: int) -> int:
     return {1: 4001, 2: 201, 3: 41}.get(dim, 15)
@@ -521,8 +518,7 @@ def density_ratio_sup(P: Density, Q: Density,
     return RatioSupResult(best, lo, hi, arg)
 
 
-def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
-                     points_per_dim: int | None = None) -> McEstimate:
+def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec) -> McEstimate:
     """D_alpha(P || Q) = (E_{x~Q} [(P(x)/Q(x))^alpha])^(1/alpha).
 
     alpha = +inf routes to the density-ratio sup.  An infinite ratio at a
@@ -536,7 +532,7 @@ def renyi_divergence(P: Density, Q: Density, alpha: float, mc: McSpec,
     if P is Q:
         return McEstimate(1.0, 0.0)
     if math.isinf(alpha):
-        return McEstimate(float(density_ratio_sup(P, Q, points_per_dim)), 0.0)
+        return McEstimate(density_ratio_sup(P, Q).value, 0.0)
     x = Q.sample(mc.n_samples, mc.seed, mc.path)
     p, q = P._pdf(x), Q._pdf(x)
     bad = (p > 0) & (q == 0)

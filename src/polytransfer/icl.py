@@ -300,8 +300,8 @@ def train_lsa(pd: PromptDistribution, steps: int = 20_000, rate: float = 1e-2,
         loss, g_pv, g_kq = loss_gradient(params, X, xq, W)
         if not math.isfinite(loss) or loss > DIVERGENCE:
             raise TrainingDivergedError(rows)
-        gnorm = math.sqrt(float(np.sum(g_pv ** 2) + np.sum(g_kq ** 2)))
         if step % record_every == 0:
+            gnorm = math.sqrt(float(np.sum(g_pv ** 2) + np.sum(g_kq ** 2)))
             rows.append((step, loss, gnorm))
         params.w_pv -= rate * g_pv
         params.w_kq -= rate * g_kq
@@ -320,20 +320,18 @@ SHIFT_KINDS = {"task": "p_h", "query": "p_x_query", "covariate": "p_x", "joint":
 
 def shift_report(params: LSAParams, source: PromptDistribution,
                  target: PromptDistribution, kind: str, mc: McSpec,
-                 exponent: int = DEFAULT_SHIFT_EXPONENT,
-                 constant: float = 1.0) -> TransferReport:
+                 exponent: int = DEFAULT_SHIFT_EXPONENT) -> TransferReport:
     """Loss under source vs target prompt distributions, with the catalog
     coefficient attached when the shifted factor pair admits a bridge.
 
     The exponent on the source-side ratio is a configuration stand-in for
     the unspecified absolute constant; default 10, the loss degree.
     """
-    return shift_reports(params, source, [target], kind, mc, exponent, constant)[0]
+    return shift_reports(params, source, [target], kind, mc, exponent)[0]
 
 
 def shift_reports(params: LSAParams, source: PromptDistribution, targets,
-                  kind: str, mc: McSpec, exponent: int = DEFAULT_SHIFT_EXPONENT,
-                  constant: float = 1.0) -> list:
+                  kind: str, mc: McSpec, exponent: int = DEFAULT_SHIFT_EXPONENT) -> list:
     """``shift_report`` for each target against one source: the source loss
     is estimated once, and the target losses in one pass that draws the
     factors the targets share once, so each report equals its single-target
@@ -345,11 +343,11 @@ def shift_reports(params: LSAParams, source: PromptDistribution, targets,
         raise ValueError("source loss is degenerate (within 3 se of zero)")
     targets = list(targets)
     l_qs = _population_losses(targets, params, mc.child(Tag.TARGET))
-    return [_shift_report(source, target, kind, l_p, l_q, exponent, constant)
+    return [_shift_report(source, target, kind, l_p, l_q, exponent)
             for target, l_q in zip(targets, l_qs)]
 
 
-def _shift_report(source, target, kind, l_p, l_q, exponent, constant):
+def _shift_report(source, target, kind, l_p, l_q, exponent):
     coefficient = math.inf
     bridge_label = "none"
     factor = SHIFT_KINDS[kind]
@@ -358,13 +356,12 @@ def _shift_report(source, target, kind, l_p, l_q, exponent, constant):
         p_fac, q_fac = pair
         if np.allclose(p_fac.cov, np.eye(p_fac.dim)) and np.allclose(q_fac.cov, np.eye(q_fac.dim)):
             delta = q_fac.mean - p_fac.mean
-            bridge, z_power = catalog_coefficient("gaussianNd", exponent, mu=delta)
-            coefficient = constant * z_power
+            bridge, coefficient = catalog_coefficient("gaussianNd", exponent, mu=delta)
             bridge_label = bridge.label
 
     return TransferReport(
         kind=f"icl-{kind}", degree=exponent, holder=HolderPair(math.inf, 1.0),
-        constant=constant, bridge=bridge_label, coefficient=coefficient,
+        constant=1.0, bridge=bridge_label, coefficient=coefficient,
         lhs=l_q.value, lhs_se=l_q.stderr,
         rhs=coefficient * l_p.value, rhs_se=coefficient * l_p.stderr)
 

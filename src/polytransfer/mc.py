@@ -1,8 +1,8 @@
 """Monte Carlo plumbing shared across modules: sample budgets and estimates.
 
 Every Monte Carlo mean and standard error in the package comes from
-:func:`mean_and_stderr`, which also decides the two edge cases: fewer than
-two values, and values or a spread too large to represent.
+:func:`mean_and_stderr`, which also decides the edge cases: no values, one
+value, and values or a spread too large to represent.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class McEstimate:
     stderr: float
     flag: str = ""
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def mean_and_stderr(values, overwrite: bool = False) -> McEstimate:
     """Sample mean and standard error (ddof = 1) of ``values``.
@@ -46,15 +43,18 @@ def mean_and_stderr(values, overwrite: bool = False) -> McEstimate:
     The bits of ``np.mean(v)`` and ``np.std(v, ddof=1) / sqrt(n)``, with the
     deviations squared in place in one float64 array: a copy of ``values``,
     or, with ``overwrite``, the float64 array ``values`` itself, which the
-    caller gives up, so no sample-sized temporary is made.  With fewer than
-    two values the standard error is nan.  Non-finite values, or a spread
-    whose square overflows, give ``McEstimate(inf, nan, flag="overflow")``;
-    no floating-point warning escapes.
+    caller gives up, so no sample-sized temporary is made.  No values raise
+    ``ValueError``; with one value the standard error is nan.  Non-finite
+    values, or a spread whose square overflows, give
+    ``McEstimate(inf, nan, flag="overflow")``; no floating-point warning
+    escapes.
     """
     import numpy as np
 
     v = np.asarray(values, dtype=float) if overwrite else np.array(values, dtype=float)
     n = v.size
+    if n == 0:
+        raise ValueError("mean_and_stderr needs at least one value")
     se = math.nan
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.add.reduce(v, axis=None)) / n

@@ -164,19 +164,10 @@ class MultiPoly:
             coeffs[a] = coeffs.get(a, 0.0) - c
         return MultiPoly(self.dim, max(self.degree, other.degree), self.basis, coeffs, self.box)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
 
 # ---------------------------------------------------------------------------
 # Regression
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FitResult:
-    poly: MultiPoly
-    residual_mse: float
 
 
 def box_region_gram(degree: int, basis_box, region, subtract=None) -> np.ndarray:
@@ -220,8 +211,8 @@ def design_matrix(X: np.ndarray, degree: int, basis: str, box=None):
 
 
 def fit_regression(X, y, degree: int, basis: str = MONOMIAL, ridge: float = 0.0,
-                   box=None, penalty_matrix=None) -> FitResult:
-    """Least-squares polynomial fit, optionally regularized.
+                   box=None, penalty_matrix=None) -> MultiPoly:
+    """Least-squares polynomial fit, optionally regularized; returns the fitted polynomial.
 
     Minimizes sum (p(x_i) - y_i)^2 + ridge * ||coeffs||^2 (+ c' P c when a
     PSD ``penalty_matrix`` P in graded-lex coefficient order is supplied,
@@ -253,8 +244,7 @@ def fit_regression(X, y, degree: int, basis: str = MONOMIAL, ridge: float = 0.0,
             G += np.asarray(penalty_matrix, dtype=float)
         beta = np.linalg.solve(G, rhs)
     coeffs = {alpha: float(b) for alpha, b in zip(alphas, beta)}
-    p = MultiPoly(X.shape[1], degree, basis, coeffs, box)
-    return FitResult(p, float(np.mean((p.eval(X) - y) ** 2)))
+    return MultiPoly(X.shape[1], degree, basis, coeffs, box)
 
 
 def _normal_equations(X, y, degree, basis, box, alphas, ridge):

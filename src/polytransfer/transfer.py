@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dist
-from .mc import McEstimate, McSpec
+from .mc import McSpec
 from .poly import MultiPoly, mc_functional
 from .rng import Tag, make_rng
 
@@ -176,41 +176,6 @@ def optimal_gamma(d: int, beta: float, moment: float, div_p_mu: float,
 
 
 # ---------------------------------------------------------------------------
-# Empirical measurement
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RatioResult:
-    ratio: float
-    lhs: McEstimate
-    rhs: McEstimate
-    degenerate: bool = False
-
-
-def empirical_transfer_ratio(f: MultiPoly, P: dist.Density, Q: dist.Density,
-                             power: int, mc: McSpec) -> RatioResult:
-    """E_Q|f|^power / E_P|f|^power with per-side Monte Carlo estimates.
-
-    A denominator within 3 standard errors of zero is flagged degenerate
-    instead of returning a meaningless ratio.
-    """
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    if f.max_abs_coeff() == 0.0:
-        raise ValueError("f must be nonzero")
-
-    def g(x):
-        return np.abs(f.eval(x)) ** power
-
-    lhs = mc_functional(g, Q, mc.child(Tag.TARGET))
-    rhs = mc_functional(g, P, mc.child(Tag.SOURCE))
-    if rhs.value <= 3.0 * rhs.stderr:
-        return RatioResult(math.nan, lhs, rhs, degenerate=True)
-    return RatioResult(lhs.value / rhs.value, lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
 # Closed-form coefficient catalog (bridge constructions)
 # ---------------------------------------------------------------------------
 
@@ -229,9 +194,8 @@ def catalog_coefficient(kind: str, d: int, **params):
 
 def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
                     holder: HolderPair, bridge: dist.Density | None = None,
-                    constant: float = DEFAULT_C, mc: McSpec = McSpec(100_000, 0),
-                    points_per_dim: int | None = None,
-                    kind: str = "euclidean") -> TransferReport:
+                    constant: float = DEFAULT_C,
+                    mc: McSpec = McSpec(100_000, 0)) -> TransferReport:
     """Measure both sides of the transfer inequality and fill a report.
 
     The two divergences against the bridge are measured (sups for
@@ -243,8 +207,8 @@ def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
     if bridge is None and not Q.log_concave:
         raise ValueError("Q is not log-concave; supply a bridge")
     mu = Q if bridge is None else bridge
-    dq = dist.renyi_divergence(Q, mu, holder.alpha, mc, points_per_dim).value
-    dp = dist.renyi_divergence(P, mu, holder.alpha, mc, points_per_dim).value
+    dq = dist.renyi_divergence(Q, mu, holder.alpha, mc).value
+    dp = dist.renyi_divergence(P, mu, holder.alpha, mc).value
     coefficient = bridge_transfer_coefficient(d, holder, max(dq, 1.0), max(dp, 1.0), constant)
     bridge_label = "target-is-log-concave" if bridge is None else bridge.label
 
@@ -259,7 +223,7 @@ def verify_transfer(f: MultiPoly, P: dist.Density, Q: dist.Density, d: int,
     src_pow = src.value ** (1.0 / beta)
     src_pow_se = src.stderr * src_pow / (beta * src.value)
     return TransferReport(
-        kind=kind, degree=d, holder=holder, constant=constant, bridge=bridge_label,
+        kind="euclidean", degree=d, holder=holder, constant=constant, bridge=bridge_label,
         coefficient=coefficient, lhs=lhs.value, lhs_se=lhs.stderr,
         rhs=coefficient * src_pow, rhs_se=coefficient * src_pow_se,
     )

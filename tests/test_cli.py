@@ -24,6 +24,10 @@ class TestConfig:
         """)
         assert raw == {"experiment": "gotu", "seed": "3", "gotu.n": "12"}
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(cli.ConfigError, match=r"duplicate key 'seed' on lines 1 and 3"):
+            cli.parse_config_text("seed = 1\n# a comment\nseed = 2\n")
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown experiment"):
             cli.resolve_config({"experiment": "nope"})
@@ -304,6 +308,18 @@ class TestExperiments:
         assert cli.main(["run", str(cfg)]) == 0
         assert (tmp_path / "root" / "sub" / "ensemble.csv").exists()
 
+    def test_out_root_env_with_absolute_out_is_a_config_error(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # Path(root) / out is out itself when out is absolute, so the root would be ignored
+        root, out = tmp_path / "root", tmp_path / "abs"
+        monkeypatch.setenv("POLYTRANSFER_OUT", str(root))
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"experiment = transfer-ensemble\nout = {out}\nensemble.count = 10\n")
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(root) in err and str(out) in err
+        assert not root.exists() and not out.exists()
+
 
 def use_cpus(monkeypatch, n):
     """Show ``cli._in_workers`` an affinity mask of n CPUs, so it runs n workers."""
@@ -428,7 +444,7 @@ class TestFigureMseOracle:
         fit = cli.fit_extrapolating_poly(X, f_star(X), cfg[f"{experiment}.degree"], *seen, *band,
                                          ridge=cfg[f"{experiment}.ridge"],
                                          band_penalty=cfg[f"{experiment}.band_penalty"])
-        sq = lambda pts: (fit.poly.eval(pts) - f_star(pts)) ** 2
+        sq = lambda pts: (fit.eval(pts) - f_star(pts)) ** 2
         (s_int, s_area), (b_int, b_area) = box_integral(sq, *seen), box_integral(sq, *band)
         full_int, full_area = box_integral(sq, (-5.0, -5.0), (5.0, 5.0))
         exact = {"seen": s_int / s_area, "band": (b_int - s_int) / (b_area - s_area),
@@ -509,11 +525,16 @@ class TestImports:
         "try:\n    cli.main(['--help'])\nexcept SystemExit as e:\n    assert e.code == 0",
         "assert cli.main(['run', 'unknown-experiment.txt']) == 2",
         "assert cli.main(['run', 'unknown-key.txt']) == 2",
+        "assert cli.main(['run', 'repeated-key.txt']) == 2",
+        "import os\nos.environ['POLYTRANSFER_OUT'] = 'root'\n"
+        "assert cli.main(['run', 'absolute-out.txt']) == 2",
     ])
     def test_text_only_commands_load_no_numpy(self, tmp_path, code):
         # importing numpy and starting its BLAS threads took half of a `list` process
         (tmp_path / "unknown-experiment.txt").write_text("experiment = fig3\n")
         (tmp_path / "unknown-key.txt").write_text("experiment = fig1\nfig1.width = 3\n")
+        (tmp_path / "repeated-key.txt").write_text("experiment = fig1\nseed = 1\nseed = 2\n")
+        (tmp_path / "absolute-out.txt").write_text(f"experiment = fig1\nout = {tmp_path}\n")
         loaded = modules_loaded_by("from polytransfer import cli\n" + code, tmp_path)
         assert "numpy" not in loaded
 
@@ -624,9 +645,11 @@ class TestStreamAudit:
 
     @pytest.mark.parametrize("experiment, extra", AUDITED_RUNS)
     def test_run_builds_no_stream_twice(self, tmp_path, monkeypatch, experiment, extra):
+        # extra's values replace the small run's own, such as its icl.steps
+        keys = {**cli.parse_config_text(SMALL_RUNS[experiment]), **cli.parse_config_text(extra)}
         cfg = tmp_path / "c.txt"
         cfg.write_text(f"experiment = {experiment}\nout = {tmp_path / 'run'}\n"
-                       + SMALL_RUNS[experiment] + extra)
+                       + "".join(f"{k} = {v}\n" for k, v in keys.items()))
         aliased = audit_streams(monkeypatch, lambda: cli.main(["run", str(cfg)]))
         assert not aliased
 

@@ -484,7 +484,6 @@ class TestRatioSup:
         p = dist.Gaussian([0.0], [[1.0]])
         res = dist.density_ratio_sup(p, dist.bridge_1d(1.0))
         assert res.box_lo[0] < -7 and res.box_hi[0] > 8
-        assert float(res) == res.value
 
 
 class TestRenyi:

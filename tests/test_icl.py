@@ -321,6 +321,28 @@ class TestTraining:
         final = icl.population_loss(pd, params, McSpec(4096, seed, (Tag.FINAL,)))
         assert trace[-1][1] == final.value
 
+    @pytest.mark.parametrize("record_every", [1, 7, 100])
+    def test_rows_equal_a_loop_that_takes_the_norm_every_step(self, record_every):
+        # the norm is taken only on the steps it is recorded, from the same gradient
+        pd = icl.PromptDistribution.gaussian(2, 4)
+        steps, batch, seed, rate = 120, 8, 5, 1e-2
+        _, rows = icl.train_lsa(pd, steps=steps, rate=rate, batch=batch, seed=seed,
+                                record_every=record_every)
+        params = icl.LSAParams.random(2, float(pd.length), seed, icl.INIT_SCALE)
+        X, xq, W = icl._sample_batch(pd, steps * batch, seed, (Tag.STEP,))
+        ref = []
+        for step in range(steps):
+            b = slice(step * batch, (step + 1) * batch)
+            loss, g_pv, g_kq = icl.loss_gradient(params, X[b], xq[b], W[b])
+            gnorm = math.sqrt(float(np.sum(g_pv ** 2) + np.sum(g_kq ** 2)))
+            if step % record_every == 0:
+                ref.append((step, loss, gnorm))
+            params.w_pv -= rate * g_pv
+            params.w_kq -= rate * g_kq
+        final = icl.population_loss(pd, params, McSpec(4096, seed, (Tag.FINAL,)))
+        assert rows == ref + [(steps, final.value, 0.0)]
+        assert len(rows) == len(range(0, steps, record_every)) + 1
+
     @pytest.mark.parametrize("steps", [3, 4])
     def test_final_loss_reads_no_training_stream(self, monkeypatch, steps):
         # the final loss drew at (STEP, steps): at 3 and 4 that is the training

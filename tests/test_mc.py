@@ -44,6 +44,11 @@ class TestContract:
         est = mean_and_stderr([2.5])
         assert est.value == 2.5 and math.isnan(est.stderr) and est.flag == ""
 
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_no_values_raise(self, overwrite):
+        with pytest.raises(ValueError, match="at least one value"):
+            mean_and_stderr(np.empty(0), overwrite=overwrite)
+
     @pytest.mark.parametrize("values", [[1.0, math.inf], [math.nan, 1.0], [-math.inf],
                                         [1e300, -1e300, 1e300]])
     def test_overflow_is_flagged_without_warning(self, values):

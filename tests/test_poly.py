@@ -201,8 +201,8 @@ class TestFitRegression:
         X = np.linspace(0, 1, 20).reshape(-1, 1)
         y = 3.0 * X[:, 0] + 1.0
         fit = poly.fit_regression(X, y, 1)
-        assert fit.poly.coeffs[(0,)] == pytest.approx(1.0, abs=1e-9)
-        assert fit.poly.coeffs[(1,)] == pytest.approx(3.0, abs=1e-9)
+        assert fit.coeffs[(0,)] == pytest.approx(1.0, abs=1e-9)
+        assert fit.coeffs[(1,)] == pytest.approx(3.0, abs=1e-9)
 
     def test_degree3_recovery(self):
         rng = np.random.default_rng(3)
@@ -212,7 +212,7 @@ class TestFitRegression:
         X = rng.uniform(-1, 1, size=(200, 2))
         fit = poly.fit_regression(X, truth.eval(X), 3)
         for alpha, c in truth.coeffs.items():
-            assert fit.poly.coeffs[alpha] == pytest.approx(c, abs=1e-6)
+            assert fit.coeffs[alpha] == pytest.approx(c, abs=1e-6)
 
     def test_sine_product_box_fit(self):
         src = dist.UniformBox([0.0, -1.0], [1.0, 1.0])
@@ -220,7 +220,7 @@ class TestFitRegression:
         y = np.sin(2 * np.pi * X[:, 0]) * np.sin(2 * np.pi * X[:, 1])
         fit = poly.fit_regression(X, y, 20, basis=poly.BOX, ridge=1e-10,
                                   box=([0.0, -1.0], [1.0, 1.0]))
-        assert fit.residual_mse <= 1e-3
+        assert np.mean((fit.eval(X) - y) ** 2) <= 1e-3
 
     def test_rank_deficient_raises(self):
         X = np.zeros((10, 1))  # all points identical
@@ -240,7 +240,7 @@ class TestFitRegression:
         X = np.linspace(-1, 1, 5).reshape(-1, 1)
         fit = poly.fit_regression(X, truth.eval(X), 4)
         pts = rng.uniform(-1, 1, size=(50, 1))
-        np.testing.assert_allclose(fit.poly.eval(pts), truth.eval(pts), atol=1e-8)
+        np.testing.assert_allclose(fit.eval(pts), truth.eval(pts), atol=1e-8)
 
 
 FIG1_SEEN = ([0.0, -1.0], [1.0, 1.0])
@@ -268,7 +268,7 @@ class TestBlockedFit:
     def test_matches_dense_normal_equations(self, n):
         X, y, kw = figure_fit_problem(n)
         fit = poly.fit_regression(X, y, **kw)
-        beta = np.array([fit.poly.coeffs[a] for a in poly.multi_indices(2, 20)])
+        beta = np.array([fit.coeffs[a] for a in poly.multi_indices(2, 20)])
         ref = dense_normal_equations(X, y, **kw)
         assert np.linalg.norm(beta - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -277,14 +277,26 @@ class TestBlockedFit:
         X = rng.uniform(-1, 1, size=(3 * poly._EVAL_ROWS + 7, 3))
         y = np.cos(X).sum(axis=1)
         fit = poly.fit_regression(X, y, 4, ridge=1e-3)
-        beta = np.array([fit.poly.coeffs[a] for a in poly.multi_indices(3, 4)])
+        beta = np.array([fit.coeffs[a] for a in poly.multi_indices(3, 4)])
         ref = dense_normal_equations(X, y, 4, poly.MONOMIAL, 1e-3, None, 0.0)
         assert np.linalg.norm(beta - ref) <= 1e-8 * np.linalg.norm(ref)
 
-    def test_residual_is_mean_square_of_evaluated_fit(self):
+    def test_a_fit_evaluates_nothing(self, monkeypatch):
+        # callers read only the polynomial: an evaluation of the training points here
+        # would cost a figure fit 10,000 degree-20 points
+        real, calls = poly.MultiPoly.eval, []
+
+        def counting(p, x):
+            calls.append(np.shape(x))
+            return real(p, x)
+
+        monkeypatch.setattr(poly.MultiPoly, "eval", counting)
         X, y, kw = figure_fit_problem(2 * poly._EVAL_ROWS + 451)
         fit = poly.fit_regression(X, y, **kw)
-        assert fit.residual_mse == float(np.mean((fit.poly.eval(X) - y) ** 2))
+        poly.fit_regression(X, y, 3)   # lstsq on the full design matrix
+        assert calls == []
+        fit.eval(X[:2])
+        assert calls == [(2, 2)]
 
     def test_peak_memory_is_bounded(self):
         import tracemalloc
@@ -327,7 +339,7 @@ class TestReusedBlockBuffer:
             G += A.T @ A
             rhs += A.T @ y[s:s + poly._EVAL_ROWS]
         fit = poly.fit_regression(X, y, degree, basis, ridge=1e-3, box=box)
-        beta = np.array([fit.poly.coeffs[a] for a in alphas])
+        beta = np.array([fit.coeffs[a] for a in alphas])
         assert beta.tobytes() == np.linalg.solve(G, rhs).tobytes()
 
 
